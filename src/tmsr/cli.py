@@ -219,6 +219,10 @@ def _cmd_replay(args) -> int:
     except OSError as exc:
         raise TmsrError(f"cannot read {args.report}: {exc}") from None
 
+    first = parsed.lasso.stem if parsed.lasso is not None else parsed.trace
+    if first is not None and first.init != spec.init:
+        print("trace INVALID: the trace does not start at the spec's initial configuration")
+        return EXIT_FAILS
     if parsed.lasso is not None:
         dmax = compute_dmax(spec.system, spec.init, spec.critical)
         result = validate_lasso(spec.system, spec.critical, parsed.lasso, dmax)

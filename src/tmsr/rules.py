@@ -18,23 +18,29 @@ consumed fact, in which case it is absorbed into the materialized bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .terms import (
     App,
     Configuration,
+    Const,
     Fact,
+    SUCC,
     Signature,
     Substitution,
+    TIME,
     Term,
     TimestampedFact,
     TmsrError,
     Var,
+    ZERO,
     apply_subst,
     check_fact,
     fact_size,
     fact_text,
     fact_vars,
+    insert_canonical,
 )
 
 GREATER = "greater"
@@ -70,7 +76,7 @@ class TimeConstraint:
 
 def eval_constraint(c: TimeConstraint, s: Substitution | dict) -> bool:
     """Arithmetic truth of the ground constraint under s."""
-    times = s.time_dict() if isinstance(s, Substitution) else s
+    times = s._times() if isinstance(s, Substitution) else s
     try:
         left = times[c.left]
         right = times[c.right]
@@ -163,6 +169,12 @@ class Rule:
     def patterns(self) -> tuple[RulePattern, ...]:
         """Full precondition in declaration order, clock pattern excluded."""
         return self.preserved + self.consumed
+
+    @cached_property
+    def plan(self) -> _MatchPlan:
+        """The precondition compiled for the matcher (see Matching below),
+        built on first use: generators that only print a spec never match."""
+        return _compile(self.patterns, self.guard, (self.time_var,), self.past_bounds)
 
     def max_creation_offset(self) -> int:
         return max((cf.offset for cf in self.created), default=0)
@@ -257,6 +269,11 @@ class CriticalPair:
                         "not bound by the patterns"
                     )
 
+    @cached_property
+    def plan(self) -> _MatchPlan:
+        """The patterns compiled for the matcher, built on first use."""
+        return _compile(self.patterns, self.guard, (), ())
+
 
 def expand_critical_pair(
     name: str,
@@ -288,6 +305,7 @@ class System:
     rules: tuple[Rule, ...]
     max_fact_size: int
     dmax_override: int | None = None
+    index: "_RuleIndex" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for r in self.rules:
@@ -305,6 +323,7 @@ class System:
                         f"rule {r.name!r}: created pattern {fact_text(cf.fact)} "
                         f"exceeds the declared fact-size bound {self.max_fact_size}"
                     )
+        object.__setattr__(self, "index", _build_index(self.rules))
 
 
 def default_fact_size_bound(
@@ -337,13 +356,103 @@ def make_system(
 
 # ---------------------------------------------------------------------------
 # Matching
+#
+# Every rule and critical pair is compiled once, on its first match, into
+# one step per pattern in declaration order. A ground pattern in normal form
+# is matched by fact equality; any other pattern by structural matching
+# whose new bindings are undone from a trail. Each guard atom is checked
+# at the first step where both its variables are bound. A step visits
+# only the elements of its predicate, in canonical order, so matches are
+# enumerated in exactly the order of a plain backtracking scan over the
+# configuration.
 
 
-def _match_term(pat: Term, ground: Term, binding: dict[Var, Term]) -> bool:
+_Check = tuple[bool, str, str, int]  # a guard atom: (greater, left, right, offset)
+
+# A compiled pattern step is a plain tuple, cheap to build for every rule:
+#   (pred, fact, ground, tvar, binds_tvar, past, checks)
+# ground: the fact is matched by equality with the element's fact;
+# binds_tvar: the first step to bind tvar (later ones compare with it);
+# past: the element's stamp must not exceed the clock;
+# checks: the guard atoms decided once this step is bound.
+_Step = tuple[str, Fact, bool, str, bool, bool, tuple[_Check, ...]]
+# A match plan: (guard atoms decided before the first step, steps).
+_MatchPlan = tuple[tuple[_Check, ...], tuple[_Step, ...]]
+
+
+def _normal_ground(t: Term) -> bool:
+    """Ground and equal to its normal form (no s(n) left over a numeral,
+    no z), so that equality decides matching against it."""
+    if isinstance(t, int):
+        return True
+    if isinstance(t, Const):
+        return t.name != ZERO
+    if isinstance(t, App):
+        if t.fn == SUCC and len(t.args) == 1 and isinstance(t.args[0], int):
+            return False
+        return _normal_ground_args(t.args)
+    return False
+
+
+def _normal_ground_args(args: tuple[Term, ...]) -> bool:
+    for a in args:
+        if not _normal_ground(a):
+            return False
+    return True
+
+
+def _compile(
+    patterns: Sequence[RulePattern],
+    guard: Sequence[TimeConstraint],
+    bound: tuple[str, ...],
+    past_tvars: tuple[str, ...],
+) -> _MatchPlan:
+    """Steps for the patterns; ``bound`` holds the time variables bound
+    before the first step (the clock variable of a rule)."""
+    tvars = [p.tvar for p in patterns]
+    # Guard atoms by the step that binds their later variable; -1 stands
+    # for the variables bound before the first step.
+    checks: dict[int, list[_Check]] = {}
+    for c in guard:
+        left = -1 if c.left in bound else tvars.index(c.left)
+        right = -1 if c.right in bound else tvars.index(c.right)
+        checks.setdefault(max(left, right), []).append(
+            (c.rel == GREATER, c.left, c.right, c.offset)
+        )
+    steps = [
+        (
+            p.fact.pred,
+            p.fact,
+            _normal_ground_args(p.fact.args),
+            p.tvar,
+            p.tvar not in bound and tvars.index(p.tvar) == i,
+            p.tvar in past_tvars,
+            tuple(checks.get(i, ())),
+        )
+        for i, p in enumerate(patterns)
+    ]
+    return tuple(checks.get(-1, ())), tuple(steps)
+
+
+def _holds(checks: tuple[_Check, ...], tbind: dict[str, int]) -> bool:
+    for greater, left, right, offset in checks:
+        if greater:
+            if not tbind[left] > tbind[right] + offset:
+                return False
+        elif tbind[left] != tbind[right] + offset:
+            return False
+    return True
+
+
+def _bind_term(
+    pat: Term, ground: Term, binding: dict[Var, Term], trail: list[Var]
+) -> bool:
+    """Structural match of pat against ground; new bindings go on trail."""
     if isinstance(pat, Var):
         seen = binding.get(pat)
         if seen is None:
             binding[pat] = ground
+            trail.append(pat)
             return True
         return seen == ground
     if isinstance(pat, int):
@@ -351,77 +460,123 @@ def _match_term(pat: Term, ground: Term, binding: dict[Var, Term]) -> bool:
     if isinstance(pat, App):
         if pat.fn == "s" and len(pat.args) == 1 and isinstance(ground, int):
             if ground >= 1:
-                return _match_term(pat.args[0], ground - 1, binding)
+                return _bind_term(pat.args[0], ground - 1, binding, trail)
             return False
         if isinstance(ground, App) and ground.fn == pat.fn and len(ground.args) == len(pat.args):
-            return all(
-                _match_term(p, g, binding) for p, g in zip(pat.args, ground.args)
-            )
+            for p, g in zip(pat.args, ground.args):
+                if not _bind_term(p, g, binding, trail):
+                    return False
+            return True
         return False
     return pat == ground  # Const
 
 
-def _match_fact(pat: Fact, ground: Fact, binding: dict[Var, Term]) -> bool:
-    if pat.pred != ground.pred or len(pat.args) != len(ground.args):
-        return False
-    return all(_match_term(p, g, binding) for p, g in zip(pat.args, ground.args))
+def _by_pred(elements: Sequence[TimestampedFact]) -> dict[str, list[int]]:
+    """Element positions per predicate, each list in canonical order."""
+    groups: dict[str, list[int]] = {}
+    for j, el in enumerate(elements):
+        got = groups.get(el.fact.pred)
+        if got is None:
+            groups[el.fact.pred] = [j]
+        else:
+            got.append(j)
+    return groups
 
 
-def _match_patterns(
-    patterns: Sequence[RulePattern],
+def _run_plan(
+    plan: _MatchPlan,
     elements: Sequence[TimestampedFact],
+    groups: dict[str, list[int]],
     tbind: dict[str, int],
-    vbind: dict[Var, Term],
-    past_tvars: frozenset[str],
     clock: int | None,
-    guard: Sequence[TimeConstraint],
     first_only: bool,
 ) -> list[Substitution]:
-    """Backtracking sub-multiset matcher. Patterns are tried in order,
-    elements in canonical order, so enumeration is deterministic."""
+    """All distinct substitutions, in enumeration order."""
+    pre_checks, steps = plan
+    if not _holds(pre_checks, tbind):
+        return []
+    # Candidate elements per step: its predicate and arity (its fact, when
+    # ground), within the past bound and at the stamp already bound, if any.
+    candidates = []
+    for pred, fact, ground, tvar, _, past, _ in steps:
+        pos = groups.get(pred)
+        if pos is None:
+            return []
+        args = fact.args
+        if ground:
+            pos = [j for j in pos if elements[j].fact.args == args]
+        else:
+            pos = [j for j in pos if len(elements[j].fact.args) == len(args)]
+        if past and clock is not None:
+            pos = [j for j in pos if elements[j].ts <= clock]
+        fixed = tbind.get(tvar)
+        if fixed is not None:
+            pos = [j for j in pos if elements[j].ts == fixed]
+        if not pos:
+            return []
+        candidates.append(pos)
+
     out: list[Substitution] = []
-    seen: set[Substitution] = set()
     used = [False] * len(elements)
-
-    def walk(i: int) -> bool:
-        if i == len(patterns):
-            if all(eval_constraint(c, tbind) for c in guard):
-                s = Substitution.of(tbind, vbind)
-                if s not in seen:
-                    seen.add(s)
-                    out.append(s)
-                    if first_only:
-                        return True
-            return False
-        pat = patterns[i]
-        for j, el in enumerate(elements):
-            if used[j] or el.fact.pred != pat.fact.pred:
-                continue
-            if pat.tvar in past_tvars and clock is not None and el.ts > clock:
-                continue
-            prev_t = tbind.get(pat.tvar)
-            if prev_t is not None and prev_t != el.ts:
-                continue
-            saved_v = dict(vbind)
-            if not _match_fact(pat.fact, el.fact, vbind):
-                vbind.clear()
-                vbind.update(saved_v)
-                continue
-            if prev_t is None:
-                tbind[pat.tvar] = el.ts
-            used[j] = True
-            stop = walk(i + 1)
-            used[j] = False
-            if prev_t is None:
-                del tbind[pat.tvar]
-            vbind.clear()
-            vbind.update(saved_v)
-            if stop:
-                return True
-        return False
-
-    walk(0)
+    _walk(0, steps, candidates, elements, used, tbind, {}, out, set(), first_only)
     return out
+
+
+def _walk(
+    i: int,
+    steps: tuple[_Step, ...],
+    candidates: list[list[int]],
+    elements: Sequence[TimestampedFact],
+    used: list[bool],
+    tbind: dict[str, int],
+    vbind: dict[Var, Term],
+    out: list[Substitution],
+    seen: set[Substitution],
+    first_only: bool,
+) -> bool:
+    """Bind steps i.. in every way, appending each new substitution to
+    out; True once first_only has its match."""
+    if i == len(steps):
+        s = Substitution.of(tbind, vbind)
+        if s in seen:
+            return False
+        seen.add(s)
+        out.append(s)
+        return first_only
+    _, fact, ground, tvar, binds_tvar, _, checks = steps[i]
+    for j in candidates[i]:
+        if used[j]:
+            continue
+        el = elements[j]
+        if not binds_tvar and tbind[tvar] != el.ts:
+            continue
+        trail: list[Var] = []
+        if not ground:
+            ok = True
+            for p, g in zip(fact.args, el.fact.args):
+                if not _bind_term(p, g, vbind, trail):
+                    ok = False
+                    break
+            if not ok:
+                for v in trail:
+                    del vbind[v]
+                continue
+        if binds_tvar:
+            tbind[tvar] = el.ts
+        stop = False
+        if _holds(checks, tbind):
+            used[j] = True
+            stop = _walk(
+                i + 1, steps, candidates, elements, used, tbind, vbind, out, seen, first_only
+            )
+            used[j] = False
+        if binds_tvar:
+            del tbind[tvar]
+        for v in trail:
+            del vbind[v]
+        if stop:
+            return True
+    return False
 
 
 def match_rule(
@@ -430,39 +585,72 @@ def match_rule(
     """All grounding substitutions making the rule's precondition a
     sub-multiset of c with the guard and past-only bounds satisfied."""
     clock = c.time
-    tbind: dict[str, int] = {r.time_var: clock}
-    return _match_patterns(
-        r.patterns,
-        c.facts,
-        tbind,
-        {},
-        frozenset(r.past_bounds),
-        clock,
-        r.guard,
-        first_only,
+    elements = c.facts
+    return _run_plan(
+        r.plan, elements, _by_pred(elements), {r.time_var: clock}, clock, first_only
     )
 
 
-def rule_applicable(r: Rule, c: Configuration) -> bool:
-    return bool(match_rule(r, c, first_only=True))
+class _RuleIndex(NamedTuple):
+    """Rule positions keyed by their most selective ground pattern fact:
+    the one the fewest rules share. Rules without a ground pattern are
+    listed with the predicates a configuration must hold for them."""
+
+    fact_ids: dict[Fact, int]
+    keyed: tuple[tuple[int, ...], ...]
+    unkeyed: tuple[tuple[int, frozenset[str]], ...]
 
 
-def _config_preds(c: Configuration) -> frozenset[str]:
-    return frozenset(tf.fact.pred for tf in c.facts)
+def _build_index(rules: Sequence[Rule]) -> _RuleIndex:
+    ids_of: dict[Fact, int] = {}  # pattern fact -> id when ground, else -1
+    shared: list[int] = []  # fact id -> number of rules with that pattern
+    per_rule = []
+    for r in rules:
+        ids = set()
+        for p in r.patterns:
+            k = ids_of.get(p.fact)
+            if k is None:
+                k = len(shared) if _normal_ground_args(p.fact.args) else -1
+                ids_of[p.fact] = k
+                if k >= 0:
+                    shared.append(0)
+            if k >= 0:
+                ids.add(k)
+        for k in ids:
+            shared[k] += 1
+        per_rule.append(ids)
+    keyed: list[list[int]] = [[] for _ in shared]
+    unkeyed = []
+    for i, ids in enumerate(per_rule):
+        if ids:
+            keyed[min(ids, key=shared.__getitem__)].append(i)
+        else:
+            unkeyed.append((i, frozenset(p.fact.pred for p in rules[i].patterns)))
+    fact_ids = {f: k for f, k in ids_of.items() if k >= 0}
+    return _RuleIndex(fact_ids, tuple(map(tuple, keyed)), tuple(unkeyed))
 
 
-def _rule_may_match(r: Rule, preds: frozenset[str]) -> bool:
-    return all(p.fact.pred in preds for p in r.patterns)
+def _candidates(sys: System, c: Configuration) -> list[int]:
+    """Positions of the rules that may match c, in declaration order."""
+    fact_ids, keyed, unkeyed = sys.index
+    pos = []
+    if unkeyed:
+        preds = {tf.fact.pred for tf in c.facts}
+        pos = [i for i, need in unkeyed if need <= preds]
+    for k in {fact_ids.get(tf.fact) for tf in c.facts}:
+        if k is not None:
+            pos.extend(keyed[k])
+    pos.sort()
+    return pos
 
 
 def enabled(sys: System, c: Configuration) -> list[tuple[Rule, Substitution]]:
     """Applicable (rule, substitution) pairs of instantaneous rules, in
     rule declaration order, then match enumeration order."""
-    preds = _config_preds(c)
+    rules = sys.rules
     out: list[tuple[Rule, Substitution]] = []
-    for r in sys.rules:
-        if not _rule_may_match(r, preds):
-            continue
+    for i in _candidates(sys, c):
+        r = rules[i]
         for s in match_rule(r, c):
             out.append((r, s))
     return out
@@ -470,9 +658,9 @@ def enabled(sys: System, c: Configuration) -> list[tuple[Rule, Substitution]]:
 
 def must_tick(sys: System, c: Configuration) -> bool:
     """True iff no instantaneous rule applies, so the clock must advance."""
-    preds = _config_preds(c)
-    for r in sys.rules:
-        if _rule_may_match(r, preds) and match_rule(r, c, first_only=True):
+    rules = sys.rules
+    for i in _candidates(sys, c):
+        if match_rule(rules[i], c, first_only=True):
             return False
     return True
 
@@ -489,16 +677,33 @@ def apply_rule(
     clock = c.time
     if s.time(r.time_var) != clock:
         raise RuleError(f"rule {r.name!r}: clock binding does not match")
-    terms = s.term_dict()
-    times = s.time_dict()
-    needed = []
-    for p in r.patterns:
-        inst = apply_subst(p.fact, terms)
-        ts = times.get(p.tvar)
+    terms = s._terms()
+    times = s._times()
+    # Instances of the precondition, listed per stamp and predicate: one
+    # pass over c checks containment and drops the consumed occurrences.
+    wanted: dict[tuple[int, str], list[Fact]] = {}
+    dropped: dict[tuple[int, str], list[Fact]] = {}
+    n_preserved = len(r.preserved)
+    for k, (pred, fact, ground, tvar, _, _, _) in enumerate(r.plan[1]):
+        inst = fact if ground else apply_subst(fact, terms)
+        ts = times.get(tvar)
         if ts is None:
-            raise UnboundTimeError(p.tvar)
-        needed.append(TimestampedFact(inst, ts))
-    if not c.contains(needed):
+            raise UnboundTimeError(tvar)
+        wanted.setdefault((ts, pred), []).append(inst)
+        if k >= n_preserved:
+            dropped.setdefault((ts, pred), []).append(inst)
+    remaining = []
+    for tf in c.facts:
+        key = (tf.ts, tf.fact.pred)
+        want = wanted.get(key)
+        if want and tf.fact in want:
+            want.remove(tf.fact)
+        drop = dropped.get(key)
+        if drop and tf.fact in drop:
+            drop.remove(tf.fact)
+            continue
+        remaining.append(tf)
+    if any(wanted.values()):
         raise RuleError(f"rule {r.name!r}: precondition not a sub-multiset")
     for tv in r.past_bounds:
         if times[tv] > clock:
@@ -506,10 +711,7 @@ def apply_rule(
     for g in r.guard:
         if not eval_constraint(g, times):
             raise RuleError(f"rule {r.name!r}: guard {g.text()} fails")
-    consumed_inst = [
-        TimestampedFact(apply_subst(p.fact, terms), times[p.tvar]) for p in r.consumed
-    ]
-    remaining = c.without(consumed_inst)
+    created = []
     for cf in r.created:
         inst = apply_subst(cf.fact, terms)
         if max_fact_size is not None and fact_size(inst) > max_fact_size:
@@ -517,8 +719,14 @@ def apply_rule(
                 f"rule {r.name!r} created {fact_text(inst)} of size "
                 f"{fact_size(inst)}, exceeding the bound {max_fact_size}"
             )
-        remaining.append(TimestampedFact(inst, clock + cf.offset))
-    return Configuration(tuple(remaining))
+        created.append(TimestampedFact(inst, clock + cf.offset))
+    if any(tf.fact.pred == TIME for tf in created):
+        return Configuration(tuple(remaining + created))  # rejects a second clock
+    # remaining keeps the canonical order of c, and every created fact is
+    # ground: each of its variables is bound to a term of c.
+    for tf in created:
+        insert_canonical(remaining, tf)
+    return Configuration._canonical(tuple(remaining))
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +737,10 @@ def is_critical(
     cs: CriticalSpec, c: Configuration
 ) -> tuple[int, Substitution] | None:
     """First matching pair index and substitution, or None."""
+    elements = c.facts
+    groups = _by_pred(elements)
     for i, pair in enumerate(cs.pairs):
-        matches = _match_patterns(
-            pair.patterns,
-            c.facts,
-            {},
-            {},
-            frozenset(),
-            None,
-            pair.guard,
-            first_only=True,
-        )
+        matches = _run_plan(pair.plan, elements, groups, {}, None, first_only=True)
         if matches:
             return i, matches[0]
     return None

@@ -17,7 +17,7 @@ tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -117,14 +117,20 @@ def term_size(t: Term) -> int:
         return t + 1
     if isinstance(t, (Var, Const)):
         return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    size = 1
+    for a in t.args:
+        size += term_size(a)
+    return size
 
 
 def fact_size(f: Fact | TimestampedFact) -> int:
     """Symbol count of a fact; the timestamp contributes nothing."""
     if isinstance(f, TimestampedFact):
         f = f.fact
-    return 1 + sum(term_size(a) for a in f.args)
+    size = 1
+    for a in f.args:
+        size += term_size(a)
+    return size
 
 
 def term_text(t: Term) -> str:
@@ -148,6 +154,20 @@ def fact_text(f: Fact) -> str:
 
 def canonical_key(tf: TimestampedFact) -> tuple[int, str]:
     return (tf.ts, fact_text(tf.fact))
+
+
+def insert_canonical(facts: list[TimestampedFact], tf: TimestampedFact) -> None:
+    """Insert tf into canonically ordered facts, after any equal key. New
+    facts are mostly stamped at or after the others, so the search runs
+    from the end and compares texts only among equal stamps."""
+    j = len(facts)
+    while j and facts[j - 1].ts > tf.ts:
+        j -= 1
+    if j and facts[j - 1].ts == tf.ts:
+        text = fact_text(tf.fact)
+        while j and facts[j - 1].ts == tf.ts and fact_text(facts[j - 1].fact) > text:
+            j -= 1
+    facts.insert(j, tf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,6 +277,14 @@ class Configuration:
             if not fact_is_ground(tf.fact):
                 raise ConfigurationError(f"non-ground fact {fact_text(tf.fact)!r}")
 
+    @classmethod
+    def _canonical(cls, facts: tuple[TimestampedFact, ...]) -> "Configuration":
+        """Wrap facts that are already ground, in canonical order and hold
+        exactly one Time fact, skipping the checks of the constructor."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "facts", facts)
+        return c
+
     @property
     def time(self) -> int:
         for tf in self.facts:
@@ -272,8 +300,8 @@ class Configuration:
 
     def replace_time(self, ts: int) -> "Configuration":
         kept = [tf for tf in self.facts if tf.fact.pred != TIME]
-        kept.append(TimestampedFact(Fact(TIME), ts))
-        return Configuration(tuple(kept))
+        insert_canonical(kept, TimestampedFact(Fact(TIME), ts))
+        return Configuration._canonical(tuple(kept))
 
     def without(self, removed: Iterable[TimestampedFact]) -> list[TimestampedFact]:
         """Multiset subtraction; raises if an occurrence is missing."""
@@ -306,10 +334,17 @@ def canonical_sequence(c: Configuration) -> tuple[TimestampedFact, ...]:
 @dataclass(frozen=True, slots=True)
 class Substitution:
     """Grounding substitution: time variables to naturals, term variables
-    to ground terms. Stored as sorted tuples so substitutions hash."""
+    to ground terms. Stored as sorted tuples so substitutions hash; the
+    lookup tables are built once, on first use."""
 
     times: tuple[tuple[str, int], ...] = ()
     terms: tuple[tuple[Var, Term], ...] = ()
+    _time_map: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _term_map: dict[Var, Term] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def of(
@@ -320,20 +355,32 @@ class Substitution:
             tuple(sorted(terms.items(), key=lambda kv: (kv[0].name, kv[0].sort))),
         )
 
+    def _times(self) -> dict[str, int]:
+        """Shared lookup table; callers must not modify it."""
+        if self._time_map is None:
+            object.__setattr__(self, "_time_map", dict(self.times))
+        return self._time_map
+
+    def _terms(self) -> dict[Var, Term]:
+        """Shared lookup table; callers must not modify it."""
+        if self._term_map is None:
+            object.__setattr__(self, "_term_map", dict(self.terms))
+        return self._term_map
+
     def time(self, name: str) -> int:
-        for n, v in self.times:
-            if n == name:
-                return v
-        raise UnboundVariableError(name)
+        try:
+            return self._times()[name]
+        except KeyError:
+            raise UnboundVariableError(name) from None
 
     def has_time(self, name: str) -> bool:
-        return any(n == name for n, _ in self.times)
+        return name in self._times()
 
     def term(self, v: Var) -> Term:
-        for w, t in self.terms:
-            if w == v:
-                return t
-        raise UnboundVariableError(v.name)
+        try:
+            return self._terms()[v]
+        except KeyError:
+            raise UnboundVariableError(v.name) from None
 
     def term_items(self) -> tuple[tuple[Var, Term], ...]:
         return self.terms
@@ -359,7 +406,7 @@ def subst_term(t: Term, terms: Mapping[Var, Term]) -> Term:
 def apply_subst(x: Fact | Term, s: Substitution | Mapping[Var, Term]) -> Fact | Term:
     """Homomorphic application; the result is ground. Raises
     UnboundVariableError naming the first uncovered variable."""
-    terms = s.term_dict() if isinstance(s, Substitution) else s
+    terms = s._terms() if isinstance(s, Substitution) else s
     if isinstance(x, Fact):
         return Fact(x.pred, tuple(subst_term(a, terms) for a in x.args))
     return subst_term(x, terms)

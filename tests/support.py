@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the package's search code:
 the concrete-state oracle normalizes timestamps by hand and detects
 cycles with networkx, the matcher enumerates candidate substitutions
-exhaustively, and satisfiability / machine termination are decided by
-direct enumeration and simulation.
+exhaustively, the reference scan runs every rule through a plain
+backtracking matcher, and satisfiability / machine termination are
+decided by direct enumeration and simulation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import networkx as nx
 
 from tmsr import (
+    App,
     Configuration,
     Const,
     CreatedFact,
@@ -96,6 +98,118 @@ def brute_force_matches(rule, config: Configuration) -> set[Substitution]:
                     )
                 )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference scan: every rule and critical pair, in declaration order,
+# through a backtracking matcher that tries every element for every
+# pattern and copies the bindings at each try. The package compiles its
+# matching; it must return exactly these lists, in this order.
+
+
+def _ref_match_term(pat, ground, binding) -> bool:
+    if isinstance(pat, Var):
+        seen = binding.get(pat)
+        if seen is None:
+            binding[pat] = ground
+            return True
+        return seen == ground
+    if isinstance(pat, int):
+        return pat == ground
+    if isinstance(pat, App):
+        if pat.fn == "s" and len(pat.args) == 1 and isinstance(ground, int):
+            if ground >= 1:
+                return _ref_match_term(pat.args[0], ground - 1, binding)
+            return False
+        if isinstance(ground, App) and ground.fn == pat.fn and len(ground.args) == len(pat.args):
+            return all(
+                _ref_match_term(p, g, binding) for p, g in zip(pat.args, ground.args)
+            )
+        return False
+    return pat == ground  # Const
+
+
+def _ref_match_fact(pat, ground, binding) -> bool:
+    if pat.pred != ground.pred or len(pat.args) != len(ground.args):
+        return False
+    return all(_ref_match_term(p, g, binding) for p, g in zip(pat.args, ground.args))
+
+
+def reference_matches(patterns, elements, tbind, past_tvars, clock, guard, first_only):
+    out = []
+    seen = set()
+    used = [False] * len(elements)
+    vbind = {}
+
+    def walk(i):
+        if i == len(patterns):
+            if all(eval_constraint(c, tbind) for c in guard):
+                s = Substitution.of(tbind, vbind)
+                if s not in seen:
+                    seen.add(s)
+                    out.append(s)
+                    if first_only:
+                        return True
+            return False
+        pat = patterns[i]
+        for j, el in enumerate(elements):
+            if used[j] or el.fact.pred != pat.fact.pred:
+                continue
+            if pat.tvar in past_tvars and clock is not None and el.ts > clock:
+                continue
+            prev_t = tbind.get(pat.tvar)
+            if prev_t is not None and prev_t != el.ts:
+                continue
+            saved_v = dict(vbind)
+            if not _ref_match_fact(pat.fact, el.fact, vbind):
+                vbind.clear()
+                vbind.update(saved_v)
+                continue
+            if prev_t is None:
+                tbind[pat.tvar] = el.ts
+            used[j] = True
+            stop = walk(i + 1)
+            used[j] = False
+            if prev_t is None:
+                del tbind[pat.tvar]
+            vbind.clear()
+            vbind.update(saved_v)
+            if stop:
+                return True
+        return False
+
+    walk(0)
+    return out
+
+
+def reference_match_rule(rule, config, first_only=False):
+    return reference_matches(
+        rule.patterns,
+        config.facts,
+        {rule.time_var: config.time},
+        frozenset(rule.past_bounds),
+        config.time,
+        rule.guard,
+        first_only,
+    )
+
+
+def reference_enabled(sys: System, config: Configuration):
+    return [(r, s) for r in sys.rules for s in reference_match_rule(r, config)]
+
+
+def reference_must_tick(sys: System, config: Configuration) -> bool:
+    return not any(reference_match_rule(r, config, first_only=True) for r in sys.rules)
+
+
+def reference_is_critical(cs: CriticalSpec, config: Configuration):
+    for i, pair in enumerate(cs.pairs):
+        got = reference_matches(
+            pair.patterns, config.facts, {}, frozenset(), None, pair.guard, True
+        )
+        if got:
+            return i, got[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,41 @@ class TestGenAndReplay:
         assert main(["replay", str(spec), str(rep)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_forged_initial_configuration_rejected(self, tmp_path, capsys):
+        # The spec fails survivability; the forged report claims
+        # realizability holds with an empty trace from a made-up init.
+        spec = tmp_path / "d.spec"
+        main(["gen", "drone", "--recency", "2", "--out", str(spec)])
+        forged = {
+            "mode": "realizability",
+            "outcome": "holds",
+            "init": [
+                {"fact": "Time", "ts": 5},
+                {"fact": "Dr(d1,1,1,4)", "ts": 5},
+                {"fact": "P(p1,0,1)", "ts": 5},
+            ],
+            "trace": [],
+        }
+        rep = tmp_path / "forged.json"
+        rep.write_text(json.dumps(forged))
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert "trace INVALID" in capsys.readouterr().out
+
+    def test_forged_lasso_stem_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "t.spec"
+        spec.write_text(TICK_ONLY)
+        rep = tmp_path / "rep.json"
+        main(["verify", str(spec), "--mode", "realizability", "--out", str(rep)])
+        assert main(["replay", str(spec), str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        doc["init"] = [{"fact": "Time", "ts": 3}]
+        for step in doc["lasso"]["cycle"]:
+            step["config"] = [{"fact": "Time", "ts": 4}]
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert "trace INVALID" in capsys.readouterr().out
+
     def test_tm_chain(self, tmp_path):
         machine = tmp_path / "m.json"
         machine.write_text(

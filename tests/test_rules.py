@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from support import brute_force_matches, random_progressive_system
+from support import (
+    brute_force_matches,
+    random_progressive_system,
+    reference_enabled,
+    reference_is_critical,
+    reference_match_rule,
+    reference_must_tick,
+)
 
 from tmsr import (
     App,
@@ -285,6 +292,120 @@ class TestEnabledAndMustTick:
         a = [(r.name, s) for r, s in enabled(spec.system, spec.init)]
         b = [(r.name, s) for r, s in enabled(spec.system, spec.init)]
         assert a == b
+
+
+class TestCompiledMatchingAgreesWithReferenceScan:
+    """enabled, must_tick and is_critical return exactly the lists of the
+    reference scan (every rule in declaration order through the plain
+    backtracking matcher), order included."""
+
+    @staticmethod
+    def assert_agree(sysm, cs, config):
+        # Successors are built without the constructor's sort and checks;
+        # the public constructor must find them canonical already.
+        assert Configuration(config.facts).facts == config.facts
+        assert enabled(sysm, config) == reference_enabled(sysm, config)
+        assert must_tick(sysm, config) == reference_must_tick(sysm, config)
+        assert is_critical(cs, config) == reference_is_critical(cs, config)
+
+    def test_random_progressive_configurations(self):
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(50):
+            sysm, init, cs = random_progressive_system(rng)
+            config = init
+            for _ in range(rng.randint(2, 5)):
+                self.assert_agree(sysm, cs, config)
+                checked += 1
+                pairs = enabled(sysm, config)
+                if pairs:
+                    r, s = pairs[rng.randrange(len(pairs))]
+                    config = apply_rule(r, config, s, sysm.max_fact_size)
+                else:
+                    config = tick(config)
+        assert checked >= 100
+
+    @pytest.mark.parametrize("strategy", ["free", "greedy"])
+    def test_drone_walks(self, strategy):
+        spec = gen_drone(DroneParams(drones=2, recency=4, strategy=strategy))
+        rng = random.Random(7)
+        config = spec.init
+        for _ in range(40):
+            self.assert_agree(spec.system, spec.critical, config)
+            pairs = enabled(spec.system, config)
+            if pairs:
+                r, s = pairs[rng.randrange(len(pairs))]
+                config = apply_rule(r, config, s, spec.system.max_fact_size)
+            else:
+                config = tick(config)
+
+    def test_successor_pattern_against_int(self):
+        sig = make_signature((), {"N": ("Nat",), "M": ("Nat",)}, {}, {})
+        e = Var("E", "Nat")
+        (dec,) = expand_rule(
+            "dec", "T", [], [RulePattern(Fact("N", (App("s", (e,)),)), "T1")],
+            [CreatedFact(Fact("N", (e,)), 1)], [],
+        )
+        # s(2) is ground but not in normal form; it still matches 3.
+        (three,) = expand_rule(
+            "three", "T", [], [RulePattern(Fact("N", (App("s", (2,)),)), "T1")],
+            [CreatedFact(Fact("M", (0,)), 1)], [],
+        )
+        (zero,) = expand_rule(
+            "zero", "T", [], [RulePattern(Fact("N", (0,)), "T1")],
+            [CreatedFact(Fact("M", (0,)), 1)], [],
+        )
+        sysm = make_system(sig, [dec, three, zero])
+        for n in (0, 1, 3):
+            config = Configuration((ts(Fact("Time"), 2), ts(Fact("N", (n,)), 1)))
+            got = enabled(sysm, config)
+            assert got == reference_enabled(sysm, config)
+            assert [r.name for r, _ in got] == {
+                0: ["zero"], 1: ["dec"], 3: ["dec", "three"]
+            }[n]
+        config = Configuration((ts(Fact("Time"), 2), ts(Fact("N", (3,)), 1)))
+        (s,) = match_rule(dec, config)
+        assert s.term(e) == 2
+
+    def test_duplicate_facts_form_a_multiset(self):
+        sig = make_signature((), {"F": (), "G": ()}, {}, {})
+        (pair_rule,) = expand_rule(
+            "pair", "T", [],
+            [RulePattern(Fact("F"), "T1"), RulePattern(Fact("F"), "T2")],
+            [CreatedFact(Fact("G"), 1), CreatedFact(Fact("G"), 1)],
+            [],
+        )
+        (single,) = expand_rule(
+            "single", "T", [], [RulePattern(Fact("F"), "T1")],
+            [CreatedFact(Fact("G"), 1)], [],
+        )
+        sysm = make_system(sig, [pair_rule, single])
+        cs = CriticalSpec(
+            (CriticalPair("two", (RulePattern(Fact("F"), "A"), RulePattern(Fact("F"), "B")), ()),)
+        )
+        one = Configuration((ts(Fact("Time"), 1), ts(Fact("F"), 0)))
+        same = Configuration((ts(Fact("Time"), 1), ts(Fact("F"), 0), ts(Fact("F"), 0)))
+        apart = Configuration((ts(Fact("Time"), 1), ts(Fact("F"), 0), ts(Fact("F"), 1)))
+        for config in (one, same, apart):
+            self.assert_agree(sysm, cs, config)
+        assert [r.name for r, _ in enabled(sysm, one)] == ["single"]
+        # Two equal occurrences give one substitution per rule.
+        assert [r.name for r, _ in enabled(sysm, same)] == ["pair", "single"]
+        assert [r.name for r, _ in enabled(sysm, apart)] == ["pair", "pair", "single", "single"]
+        assert is_critical(cs, one) is None and is_critical(cs, same) is not None
+        _, (rule, s) = enabled(sysm, same)
+        after = apply_rule(rule, same, s)
+        assert after.facts.count(ts(Fact("F"), 0)) == 1
+
+    def test_match_rule_agrees_with_reference(self):
+        rng = random.Random(99)
+        for _ in range(40):
+            sysm, init, _ = random_progressive_system(rng)
+            for rule in sysm.rules:
+                for first_only in (False, True):
+                    assert match_rule(rule, init, first_only) == reference_match_rule(
+                        rule, init, first_only
+                    )
 
 
 class TestIsCritical:

@@ -313,3 +313,53 @@ class TestInvariants:
         assert v.stats.states > 0
         assert v.stats.l_sigma_decimal is not None
         assert int(v.stats.l_sigma_decimal) > 0
+
+
+class TestFreeTwoDroneRecencyEight:
+    """State counts and verdicts pinned to the figures of the plain
+    backtracking matcher, so a faster matcher must explore the same graph."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return gen_drone(DroneParams(drones=2, recency=8, strategy="free"))
+
+    def test_state_counts_and_verdict(self, spec):
+        real = realizability(spec.system, spec.init, spec.critical)
+        assert (real.outcome, real.stats.states) == (HOLDS, 2473)
+        surv = survivability(spec.system, spec.init, spec.critical)
+        assert surv.outcome == FAILS
+        assert surv.stats.states - real.stats.states == 428  # reach states
+        dmax = compute_dmax(spec.system, spec.init, spec.critical)
+        assert validate_lasso(spec.system, spec.critical, real.witness, dmax)
+        pooled = survivability(
+            spec.system, spec.init, spec.critical, SearchBudget(workers=3)
+        )
+        assert pooled.outcome == FAILS
+        assert pooled.counterexample == surv.counterexample
+        assert pooled.critical_pair == surv.critical_pair
+        assert pooled.stats.states == surv.stats.states
+
+    def test_match_attempts_per_enabled_call(self, spec, monkeypatch):
+        # Deterministic guard on the rule index: the plain scan made one
+        # match_rule call per rule (208) in every enabled call.
+        import tmsr.rules
+        import tmsr.search
+
+        calls = {"enabled": 0, "match_rule": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tmsr.search, "enabled", counting("enabled", tmsr.search.enabled))
+        monkeypatch.setattr(
+            tmsr.rules, "match_rule", counting("match_rule", tmsr.rules.match_rule)
+        )
+        small = gen_drone(DroneParams(drones=2, recency=4, strategy="free"))
+        assert len(small.system.rules) == 208
+        realizability(small.system, small.init, small.critical)
+        assert calls["enabled"] > 100
+        assert calls["match_rule"] <= 10 * calls["enabled"]
