@@ -25,6 +25,8 @@ from .reports import (
 from .rules import check_balanced, check_progressive, compute_dmax
 from .scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_tm
 from .search import (
+    BOUNDED_REALIZABILITY,
+    BOUNDED_SURVIVABILITY,
     FAILS,
     HOLDS,
     REALIZABILITY,
@@ -211,6 +213,19 @@ def _cmd_gen(args) -> int:
     return EXIT_HOLDS
 
 
+def _artifact_mismatch(parsed) -> str | None:
+    """Why the report's artifact cannot certify its mode and outcome, if so."""
+    bounded = parsed.mode in (BOUNDED_REALIZABILITY, BOUNDED_SURVIVABILITY)
+    if parsed.outcome == HOLDS:
+        if not bounded and parsed.lasso is None:
+            return f"{parsed.mode} holds needs a lasso"
+        if bounded and (parsed.ticks is None or parsed.trace is None):
+            return f"{parsed.mode} holds needs a ticks field and a trace"
+    if parsed.outcome == FAILS and parsed.lasso is not None:
+        return f"{parsed.mode} fails cannot carry a lasso"
+    return None
+
+
 def _cmd_replay(args) -> int:
     spec, _ = _load_spec(args.spec)
     try:
@@ -220,13 +235,20 @@ def _cmd_replay(args) -> int:
         raise TmsrError(f"cannot read {args.report}: {exc}") from None
 
     first = parsed.lasso.stem if parsed.lasso is not None else parsed.trace
-    if first is not None and first.init != spec.init:
+    if first is None:
+        print("report carries no trace to validate")
+        return EXIT_HOLDS
+    if first.init != spec.init:
         print("trace INVALID: the trace does not start at the spec's initial configuration")
+        return EXIT_FAILS
+    mismatch = _artifact_mismatch(parsed)
+    if mismatch is not None:
+        print(f"trace INVALID: {mismatch}")
         return EXIT_FAILS
     if parsed.lasso is not None:
         dmax = compute_dmax(spec.system, spec.init, spec.critical)
         result = validate_lasso(spec.system, spec.critical, parsed.lasso, dmax)
-    elif parsed.trace is not None:
+    else:
         expect_critical = parsed.outcome == FAILS
         expected_ticks = None
         if parsed.ticks is not None and parsed.outcome == HOLDS:
@@ -238,9 +260,6 @@ def _cmd_replay(args) -> int:
             expected_ticks=expected_ticks,
             expect_critical_end=expect_critical,
         )
-    else:
-        print("report carries no trace to validate")
-        return EXIT_HOLDS
     if result.ok:
         print("trace validates")
         return EXIT_HOLDS

@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass
 
 from .search import Lasso, Trace, TraceStep, Verdict
-from .specfile import SpecFile, SpecParseError, parse_fact_text, parse_term_text
+from .specfile import SpecFile, SpecParser
 from .terms import (
     Configuration,
+    Fact,
     Substitution,
     TimestampedFact,
     TmsrError,
@@ -133,40 +134,86 @@ class ParsedReport:
     lasso: Lasso | None
 
 
-def _config_from_json(spec: SpecFile, arr) -> Configuration:
-    facts = []
-    for entry in arr:
-        fact = parse_fact_text(spec, entry["fact"])
-        facts.append(TimestampedFact(fact, int(entry["ts"])))
-    return Configuration(tuple(facts))
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
 
 
-def _subst_from_json(spec: SpecFile, obj) -> Substitution | None:
-    if obj is None:
-        return None
-    times = {str(k): int(v) for k, v in obj.get("times", {}).items()}
-    terms = {}
-    for entry in obj.get("terms", []):
-        var = Var(entry["var"], entry["sort"])
-        term = parse_term_text(spec, entry["term"], entry["sort"])
-        sig = spec.system.signature
-        if term_sort(sig, term) != var.sort:
-            raise ReportError(f"term {entry['term']!r} is not of sort {var.sort!r}")
-        terms[var] = term
-    return Substitution.of(times, terms)
+def _require(value, kind, what: str):
+    """``value`` if ``json.loads`` made it of type ``kind`` (no subclass, so
+    a boolean is no integer)."""
+    if type(value) is not kind:
+        raise ReportError(f"{what} must be {_JSON_TYPES[kind]}, found {_JSON_TYPES[type(value)]}")
+    return value
 
 
-def _steps_from_json(spec: SpecFile, arr) -> tuple[TraceStep, ...]:
-    steps = []
-    for entry in arr:
-        steps.append(
-            TraceStep(
-                entry["label"],
-                _subst_from_json(spec, entry.get("subst")),
-                _config_from_json(spec, entry["config"]),
+def _field(obj: dict, key: str, kind, what: str):
+    if key not in obj:
+        raise ReportError(f"{what} has no field {key!r}")
+    return _require(obj[key], kind, f"field {key!r} of {what}")
+
+
+class _ReportReader:
+    """Reads the configurations and steps of one report against its spec.
+    Every fact text goes through one parser, and a fact text met again
+    reuses the ``Fact`` parsed the first time (facts are immutable)."""
+
+    def __init__(self, spec: SpecFile):
+        self.sig = spec.system.signature
+        self.parser = SpecParser.for_signature(spec)
+        self.facts: dict[str, Fact] = {}
+
+    def fact(self, text: str) -> Fact:
+        fact = self.facts.get(text)
+        if fact is None:
+            fact = self.facts[text] = self.parser.fact_text(text)
+        return fact
+
+    def config(self, arr: list) -> Configuration:
+        facts = []
+        for entry in arr:
+            _require(entry, dict, "a configuration entry")
+            fact = self.fact(_field(entry, "fact", str, "a configuration entry"))
+            facts.append(TimestampedFact(fact, _field(entry, "ts", int, "a configuration entry")))
+        return Configuration(tuple(facts))
+
+    def subst(self, obj) -> Substitution | None:
+        if obj is None:
+            return None
+        _require(obj, dict, "a substitution")
+        times = {}
+        for name, value in _require(obj.get("times", {}), dict, "substitution times").items():
+            times[name] = _require(value, int, f"the time of {name!r}")
+        terms = {}
+        for entry in _require(obj.get("terms", []), list, "substitution terms"):
+            _require(entry, dict, "a substitution term")
+            sort = _field(entry, "sort", str, "a substitution term")
+            var = Var(_field(entry, "var", str, "a substitution term"), sort)
+            text = _field(entry, "term", str, "a substitution term")
+            term = self.parser.term_text(text, sort)
+            if term_sort(self.sig, term) != var.sort:
+                raise ReportError(f"term {text!r} is not of sort {var.sort!r}")
+            terms[var] = term
+        return Substitution.of(times, terms)
+
+    def steps(self, arr: list) -> tuple[TraceStep, ...]:
+        steps = []
+        for entry in arr:
+            _require(entry, dict, "a step")
+            steps.append(
+                TraceStep(
+                    _field(entry, "label", str, "a step"),
+                    self.subst(entry.get("subst")),
+                    self.config(_field(entry, "config", list, "a step")),
+                )
             )
-        )
-    return tuple(steps)
+        return tuple(steps)
 
 
 def parse_report(text: str, spec: SpecFile) -> ParsedReport:
@@ -174,23 +221,25 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReportError(f"not valid JSON: {exc}") from None
-    try:
-        mode = obj["mode"]
-        outcome = obj["outcome"]
-    except KeyError as exc:
-        raise ReportError(f"missing field {exc.args[0]!r}") from None
+    _require(obj, dict, "a report")
+    mode = _field(obj, "mode", str, "the report")
+    outcome = _field(obj, "outcome", str, "the report")
     ticks = obj.get("ticks")
+    if ticks is not None:
+        _require(ticks, int, "field 'ticks' of the report")
     trace = None
     lasso = None
+    reader = _ReportReader(spec)
     try:
         if "lasso" in obj:
-            init = _config_from_json(spec, obj["init"])
-            stem = Trace(init, _steps_from_json(spec, obj["lasso"]["stem"]))
-            cycle = Trace(stem.final, _steps_from_json(spec, obj["lasso"]["cycle"]))
+            init = reader.config(_field(obj, "init", list, "the report"))
+            arms = _field(obj, "lasso", dict, "the report")
+            stem = Trace(init, reader.steps(_field(arms, "stem", list, "the lasso")))
+            cycle = Trace(stem.final, reader.steps(_field(arms, "cycle", list, "the lasso")))
             lasso = Lasso(stem, cycle)
         elif "trace" in obj:
-            init = _config_from_json(spec, obj["init"])
-            trace = Trace(init, _steps_from_json(spec, obj["trace"]))
-    except (KeyError, SpecParseError, TmsrError) as exc:
+            init = reader.config(_field(obj, "init", list, "the report"))
+            trace = Trace(init, reader.steps(_field(obj, "trace", list, "the report")))
+    except TmsrError as exc:
         raise ReportError(f"malformed trace: {exc}") from None
     return ParsedReport(mode, outcome, ticks, trace, lasso)

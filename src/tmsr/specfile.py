@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .rules import (
     CreatedFact,
@@ -105,102 +106,138 @@ class SpecFile:
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+#
+# A token is the plain string it spells; its kind follows from its text: a
+# leading '"' makes a string, a decimal digit a numeral, an ASCII letter or
+# '_' an identifier, and "->", ">=" and the one-character symbols are
+# themselves. Tokens carry no column: a diagnostic finds its column by
+# scanning its one line again.
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<string>"[^"]*")
-  | (?P<arrow>->)
-  | (?P<ge>>=)
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[@(),:|+\-><={}])
-    """,
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r'"[^"]*"|->|>=|\d+|[A-Za-z_][A-Za-z0-9_]*|[@(),:|+\-><={}]')
+
+# The longest prefix of a line made of whole tokens and whitespace: the line
+# holds a stray character (one no token can start with, or a '"' that is
+# never closed) exactly where this match ends short of the line's end.
+_CLEAN_RE = re.compile(r'(?:[\s\dA-Za-z_@(),:|+\-><={}]+|"[^"]*")*')
+
+# A rule, init or critical line; pass 1 keeps these as text.
+_DEFERRED_RE = re.compile(r"\s*(?:(rule|critical)(?![A-Za-z0-9_])|init\s*:)")
+
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+# Ends every token list, so that reading one token past the last real one
+# needs no bounds check; it equals no token and starts no kind of token.
+_EOL = "\n"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    col: int
+def _check_chars(text: str, line: int) -> None:
+    end = _CLEAN_RE.match(text).end()
+    if end < len(text):
+        raise SpecParseError("syntax", f"unexpected character {text[end]!r}", line, end + 1)
 
 
-def _tokenize(text: str, line: int) -> list[Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SpecParseError("syntax", f"unexpected character {text[pos]!r}", line, pos + 1)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(Token(kind, m.group(), pos + 1))
-        pos = m.end()
-    return out
+def _is_kind(tok: str, want: str) -> bool:
+    if want == "ident":
+        return tok[0] in _IDENT_START
+    if want == "num":
+        return tok.isdecimal()
+    if want == "string":
+        return tok[0] == '"'
+    if want == "arrow":
+        return tok == "->"
+    return tok == want
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token], line: int):
-        self.tokens = tokens
+    """The tokens of one line whose characters have been checked, read by
+    index. The parse of the line starts at token ``start``; diagnostics
+    place an end of line after the last token from there on."""
+
+    __slots__ = ("toks", "n", "line", "text", "start")
+
+    def __init__(self, text: str, line: int, start: int = 0):
+        self.toks = _TOKEN_RE.findall(text)
+        self.n = len(self.toks)
+        self.toks.append(_EOL)
         self.line = line
-        self.i = 0
+        self.text = text
+        self.start = start
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def col(self, i: int) -> int:
+        if i >= self.n:
+            return self.col(self.n - 1) if self.n > self.start else 1
+        return next(islice(_TOKEN_RE.finditer(self.text), i, None)).start() + 1
 
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
+    def error(self, code: str, message: str, i: int) -> SpecParseError:
+        return SpecParseError(code, message, self.line, self.col(i))
 
-    def col(self) -> int:
-        t = self.peek()
-        return t.col if t else (self.tokens[-1].col if self.tokens else 1)
+    def expected(self, i: int, what: str) -> SpecParseError:
+        if i >= self.n:
+            return self.error("syntax", "unexpected end of line", i)
+        return self.error("syntax", f"expected {what}, found {self.toks[i]!r}", i)
 
-    def take(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise SpecParseError("syntax", "unexpected end of line", self.line, self.col())
-        self.i += 1
-        return t
+    def expect(self, i: int, want: str) -> str:
+        """Token ``i``, which must be of kind ``want`` or spell it."""
+        tok = self.toks[i]
+        if not _is_kind(tok, want):
+            raise self.expected(i, repr(want))
+        return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.take()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise SpecParseError(
-                "syntax", f"expected {want!r}, found {t.text!r}", self.line, t.col
-            )
-        return t
-
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        t = self.peek()
-        if t and t.kind == kind and (text is None or t.text == text):
-            self.i += 1
-            return t
-        return None
-
-
-def _is_var_name(name: str) -> bool:
-    return name[0].isupper()
+    def end(self, i: int) -> None:
+        if i < self.n:
+            raise self.error("syntax", f"trailing input {self.toks[i]!r}", i)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-class _Parser:
+class SpecParser:
+    """Parser of spec text. ``parse_spec`` runs it on a whole spec;
+    ``for_signature`` gives one that reads fact and term texts against a
+    loaded signature, and can be reused for many of them."""
+
     def __init__(self) -> None:
         self.sorts: list[str] = []
         self.preds: dict[str, tuple[str, ...]] = {}
         self.fns: dict[str, tuple[tuple[str, ...], str]] = {}
         self.consts: dict[str, str] = {}
-        self.rule_lines: list[tuple[int, list[Token]]] = []
-        self.init_lines: list[tuple[int, list[Token]]] = []
-        self.critical_lines: list[tuple[int, list[Token]]] = []
+        self.rule_lines: list[tuple[int, str]] = []
+        self.init_lines: list[tuple[int, str]] = []
+        self.critical_lines: list[tuple[int, str]] = []
         self.params: dict[str, int] = {}
         self.params_line: int | None = None
         self.sig: Signature | None = None
+
+    @classmethod
+    def for_signature(cls, sig_or_spec) -> "SpecParser":
+        sig = sig_or_spec.system.signature if isinstance(sig_or_spec, SpecFile) else sig_or_spec
+        p = cls()
+        p.sorts = [s for s in sig.sorts if s not in RESERVED_SORTS]
+        p.preds = {k: v for k, v in sig.predicates.items() if k not in RESERVED_PREDS}
+        p.fns = {k: v for k, v in sig.functions.items() if k not in RESERVED_FNS}
+        p.consts = {k: v for k, v in sig.constants.items() if k not in RESERVED_CONSTS}
+        p.sig = sig
+        return p
+
+    def fact_text(self, text: str, line: int = 1) -> Fact:
+        """One ground fact in the spec-file syntax."""
+        _check_chars(text, line)
+        cur = _Cursor(text, line)
+        vars_seen: dict[str, str] = {}
+        f, i = self._parse_fact(cur, 0, vars_seen)
+        if vars_seen:
+            raise SpecParseError("syntax", "fact is not ground", line)
+        cur.end(i)
+        return f
+
+    def term_text(self, text: str, expected: str, line: int = 1) -> Term:
+        """One term of sort ``expected`` in the spec-file syntax."""
+        _check_chars(text, line)
+        cur = _Cursor(text, line)
+        t, i = self._parse_term(cur, 0, expected, {})
+        cur.end(i)
+        return t
 
     # -- pass 1: collect declarations ------------------------------------
 
@@ -219,32 +256,38 @@ class _Parser:
                 "syntax", f"missing header line {HEADER!r}", first_line
             )
         for line, content in body[1:]:
-            cur = _Cursor(_tokenize(content, line), line)
-            head = cur.expect("ident")
-            if head.text == "sort":
+            _check_chars(content, line)
+            m = _DEFERRED_RE.match(content)
+            if m is not None:
+                if m.group(1) == "rule":
+                    self.rule_lines.append((line, content))
+                elif m.group(1) == "critical":
+                    self.critical_lines.append((line, content))
+                else:
+                    self.init_lines.append((line, content))
+                continue
+            cur = _Cursor(content, line)
+            head = cur.expect(0, "ident")
+            if head == "sort":
                 self._decl_sort(cur)
-            elif head.text == "pred":
+            elif head == "pred":
                 self._decl_pred(cur)
-            elif head.text == "fn":
+            elif head == "fn":
                 self._decl_fn(cur)
-            elif head.text == "const":
+            elif head == "const":
                 self._decl_const(cur)
-            elif head.text == "rule":
-                self.rule_lines.append((line, cur.tokens[cur.i :]))
-            elif head.text == "init":
-                cur.expect("sym", ":")
-                self.init_lines.append((line, cur.tokens[cur.i :]))
-            elif head.text == "critical":
-                self.critical_lines.append((line, cur.tokens[cur.i :]))
-            elif head.text == "params":
+            elif head == "init":
+                # A well-formed init line was taken above.
+                raise cur.expected(1, repr(":"))
+            elif head == "params":
                 self._decl_params(cur)
             else:
-                raise SpecParseError(
-                    "syntax", f"unknown declaration {head.text!r}", line, head.col
-                )
+                raise cur.error("syntax", f"unknown declaration {head!r}", 0)
 
     @staticmethod
     def _strip_comment(raw: str) -> str:
+        if "#" not in raw:
+            return raw
         out = []
         in_string = False
         for ch in raw:
@@ -256,74 +299,62 @@ class _Parser:
         return "".join(out)
 
     def _decl_sort(self, cur: _Cursor) -> None:
-        name = cur.expect("ident")
-        if name.text in RESERVED_SORTS or name.text in self.sorts:
-            raise SpecParseError(
-                "duplicate", f"sort {name.text!r} already declared", cur.line, name.col
-            )
-        self.sorts.append(name.text)
-        self._end(cur)
+        name = cur.expect(1, "ident")
+        if name in RESERVED_SORTS or name in self.sorts:
+            raise cur.error("duplicate", f"sort {name!r} already declared", 1)
+        self.sorts.append(name)
+        cur.end(2)
 
     def _decl_pred(self, cur: _Cursor) -> None:
-        name = cur.expect("ident")
-        if name.text in RESERVED_PREDS or name.text in self.preds:
-            raise SpecParseError(
-                "duplicate", f"predicate {name.text!r} already declared", cur.line, name.col
-            )
+        name = cur.expect(1, "ident")
+        if name in RESERVED_PREDS or name in self.preds:
+            raise cur.error("duplicate", f"predicate {name!r} already declared", 1)
         argsorts: list[str] = []
-        if cur.accept("sym", ":"):
-            while not cur.done():
-                argsorts.append(cur.expect("ident").text)
-        self.preds[name.text] = tuple(argsorts)
+        if cur.toks[2] == ":":
+            argsorts = [cur.expect(i, "ident") for i in range(3, cur.n)]
+        self.preds[name] = tuple(argsorts)
 
     def _decl_fn(self, cur: _Cursor) -> None:
-        name = cur.expect("ident")
-        if name.text in RESERVED_FNS or name.text in self.fns:
-            raise SpecParseError(
-                "duplicate", f"function {name.text!r} already declared", cur.line, name.col
-            )
-        cur.expect("sym", ":")
+        name = cur.expect(1, "ident")
+        if name in RESERVED_FNS or name in self.fns:
+            raise cur.error("duplicate", f"function {name!r} already declared", 1)
+        cur.expect(2, ":")
         argsorts: list[str] = []
-        while not cur.accept("arrow"):
-            argsorts.append(cur.expect("ident").text)
-        result = cur.expect("ident").text
-        self.fns[name.text] = (tuple(argsorts), result)
-        self._end(cur)
+        i = 3
+        while cur.toks[i] != "->":
+            argsorts.append(cur.expect(i, "ident"))
+            i += 1
+        result = cur.expect(i + 1, "ident")
+        self.fns[name] = (tuple(argsorts), result)
+        cur.end(i + 2)
 
     def _decl_const(self, cur: _Cursor) -> None:
-        name = cur.expect("ident")
-        if name.text in RESERVED_CONSTS or name.text in self.consts:
-            raise SpecParseError(
-                "duplicate", f"constant {name.text!r} already declared", cur.line, name.col
-            )
-        cur.expect("sym", ":")
-        sort = cur.expect("ident").text
-        self.consts[name.text] = sort
-        self._end(cur)
+        name = cur.expect(1, "ident")
+        if name in RESERVED_CONSTS or name in self.consts:
+            raise cur.error("duplicate", f"constant {name!r} already declared", 1)
+        cur.expect(2, ":")
+        self.consts[name] = cur.expect(3, "ident")
+        cur.end(4)
 
     def _decl_params(self, cur: _Cursor) -> None:
-        cur.expect("sym", ":")
+        cur.expect(1, ":")
         self.params_line = cur.line
-        while not cur.done():
-            key = cur.expect("ident")
-            if key.text not in ("k", "dmax", "ticks"):
-                raise SpecParseError(
-                    "params", f"unknown parameter {key.text!r}", cur.line, key.col
-                )
-            cur.expect("sym", "=")
-            val = cur.expect("num")
-            self.params[key.text] = int(val.text)
-            if not cur.done():
-                cur.expect("sym", ",")
-
-    def _end(self, cur: _Cursor) -> None:
-        if not cur.done():
-            t = cur.peek()
-            raise SpecParseError(
-                "syntax", f"trailing input {t.text!r}", cur.line, t.col
-            )
+        i = 2
+        while i < cur.n:
+            key = cur.expect(i, "ident")
+            if key not in ("k", "dmax", "ticks"):
+                raise cur.error("params", f"unknown parameter {key!r}", i)
+            cur.expect(i + 1, "=")
+            self.params[key] = int(cur.expect(i + 2, "num"))
+            i += 3
+            if i < cur.n:
+                cur.expect(i, ",")
+                i += 1
 
     # -- pass 2: terms, facts, rules -------------------------------------
+    #
+    # Each parse function takes the index of its first token and returns
+    # the index after its last one.
 
     def build_signature(self) -> Signature:
         try:
@@ -332,168 +363,185 @@ class _Parser:
             raise SpecParseError("sort", str(exc), 1) from None
         return self.sig
 
-    def _parse_term(self, cur: _Cursor, expected: str, vars_seen: dict[str, str]) -> Term:
-        t = cur.take()
-        if t.kind == "num":
+    def _parse_term(
+        self, cur: _Cursor, i: int, expected: str, vars_seen: dict[str, str]
+    ) -> tuple[Term, int]:
+        toks = cur.toks
+        name = toks[i]
+        if name.isdecimal():
             if expected != NAT:
-                raise SpecParseError(
-                    "sort", f"numeral where a {expected!r} term is expected", cur.line, t.col
-                )
-            return int(t.text)
-        if t.kind != "ident":
-            raise SpecParseError("syntax", f"expected a term, found {t.text!r}", cur.line, t.col)
-        name = t.text
-        if cur.accept("sym", "("):
+                raise cur.error("sort", f"numeral where a {expected!r} term is expected", i)
+            return int(name), i + 1
+        if name[0] not in _IDENT_START:
+            raise cur.expected(i, "a term")
+        if toks[i + 1] == "(":
             if name not in self.fns and name not in RESERVED_FNS:
-                raise SpecParseError("sort", f"undeclared function {name!r}", cur.line, t.col)
+                raise cur.error("sort", f"undeclared function {name!r}", i)
             argsorts, result = self.fns.get(name, ((NAT,), NAT))
             if result != expected:
-                raise SpecParseError(
-                    "sort",
-                    f"function {name!r} yields {result!r}, expected {expected!r}",
-                    cur.line,
-                    t.col,
+                raise cur.error(
+                    "sort", f"function {name!r} yields {result!r}, expected {expected!r}", i
                 )
+            j = i + 2
             args = []
-            for i, asort in enumerate(argsorts):
-                if i:
-                    cur.expect("sym", ",")
-                args.append(self._parse_term(cur, asort, vars_seen))
-            cur.expect("sym", ")")
-            return normalize_term(App(name, tuple(args)))
-        if _is_var_name(name):
+            for k, asort in enumerate(argsorts):
+                if k:
+                    if toks[j] != ",":
+                        raise cur.expected(j, repr(","))
+                    j += 1
+                arg, j = self._parse_term(cur, j, asort, vars_seen)
+                args.append(arg)
+            if toks[j] != ")":
+                raise cur.expected(j, repr(")"))
+            return normalize_term(App(name, tuple(args))), j + 1
+        if name[0].isupper():
             seen = vars_seen.get(name)
             if seen is not None and seen != expected:
-                raise SpecParseError(
-                    "sort",
-                    f"variable {name!r} used at sorts {seen!r} and {expected!r}",
-                    cur.line,
-                    t.col,
+                raise cur.error(
+                    "sort", f"variable {name!r} used at sorts {seen!r} and {expected!r}", i
                 )
             vars_seen[name] = expected
-            return Var(name, expected)
+            return Var(name, expected), i + 1
         if name == "z":
             if expected != NAT:
-                raise SpecParseError("sort", "z is a Nat constant", cur.line, t.col)
-            return 0
-        if name not in self.consts:
-            raise SpecParseError("sort", f"undeclared constant {name!r}", cur.line, t.col)
-        if self.consts[name] != expected:
-            raise SpecParseError(
-                "sort",
-                f"constant {name!r} has sort {self.consts[name]!r}, expected {expected!r}",
-                cur.line,
-                t.col,
+                raise cur.error("sort", "z is a Nat constant", i)
+            return 0, i + 1
+        sort = self.consts.get(name)
+        if sort is None:
+            raise cur.error("sort", f"undeclared constant {name!r}", i)
+        if sort != expected:
+            raise cur.error(
+                "sort", f"constant {name!r} has sort {sort!r}, expected {expected!r}", i
             )
-        return Const(name)
+        return Const(name), i + 1
 
-    def _parse_fact(self, cur: _Cursor, vars_seen: dict[str, str]) -> Fact:
-        t = cur.expect("ident")
-        name = t.text
-        argsorts = self.preds.get(name)
-        if name == TIME:
-            argsorts = ()
+    def _parse_fact(
+        self, cur: _Cursor, i: int, vars_seen: dict[str, str]
+    ) -> tuple[Fact, int]:
+        toks = cur.toks
+        name = toks[i]
+        if name[0] not in _IDENT_START:
+            raise cur.expected(i, repr("ident"))
+        argsorts = () if name == TIME else self.preds.get(name)
         if argsorts is None:
-            raise SpecParseError("sort", f"undeclared predicate {name!r}", cur.line, t.col)
+            raise cur.error("sort", f"undeclared predicate {name!r}", i)
+        start = i
+        i += 1
         args: list[Term] = []
-        if cur.accept("sym", "("):
-            for i, asort in enumerate(argsorts):
-                if i:
-                    nxt = cur.peek()
-                    if nxt and nxt.text == ")":
-                        raise SpecParseError(
-                            "arity",
-                            f"predicate {name!r} takes {len(argsorts)} arguments",
-                            cur.line,
-                            nxt.col,
-                        )
-                    cur.expect("sym", ",")
-                args.append(self._parse_term(cur, asort, vars_seen))
-            closing = cur.peek()
-            if closing and closing.text == ",":
-                raise SpecParseError(
-                    "arity",
-                    f"predicate {name!r} takes {len(argsorts)} arguments",
-                    cur.line,
-                    closing.col,
-                )
-            cur.expect("sym", ")")
+        if toks[i] == "(":
+            i += 1
+            for k, asort in enumerate(argsorts):
+                if k:
+                    tok = toks[i]
+                    if tok != ",":
+                        if tok == ")":
+                            raise cur.error(
+                                "arity", f"predicate {name!r} takes {len(argsorts)} arguments", i
+                            )
+                        raise cur.expected(i, repr(","))
+                    i += 1
+                arg, i = self._parse_term(cur, i, asort, vars_seen)
+                args.append(arg)
+            tok = toks[i]
+            if tok != ")":
+                if tok == ",":
+                    raise cur.error(
+                        "arity", f"predicate {name!r} takes {len(argsorts)} arguments", i
+                    )
+                raise cur.expected(i, repr(")"))
+            i += 1
         if len(args) != len(argsorts):
-            raise SpecParseError(
+            raise cur.error(
                 "arity",
                 f"predicate {name!r} takes {len(argsorts)} arguments, found {len(args)}",
-                cur.line,
-                t.col,
+                start,
             )
-        return Fact(name, tuple(args))
+        return Fact(name, tuple(args)), i
 
-    def _parse_tvar(self, cur: _Cursor) -> str:
-        t = cur.expect("ident")
-        if not _is_var_name(t.text):
-            raise SpecParseError(
-                "syntax", f"time variable expected, found {t.text!r}", cur.line, t.col
-            )
-        return t.text
+    @staticmethod
+    def _parse_tvar(cur: _Cursor, i: int) -> str:
+        name = cur.toks[i]
+        if name[0] not in _IDENT_START:
+            raise cur.expected(i, repr("ident"))
+        if not name[0].isupper():
+            raise cur.error("syntax", f"time variable expected, found {name!r}", i)
+        return name
 
-    def _parse_constraint(self, cur: _Cursor) -> TimeConstraint:
-        left = self._parse_tvar(cur)
-        op = cur.take()
-        if op.kind == "ge":
+    def _parse_constraint(self, cur: _Cursor, i: int) -> tuple[TimeConstraint, int]:
+        toks = cur.toks
+        left = self._parse_tvar(cur, i)
+        op = toks[i + 1]
+        if op == ">=":
             rel = GE
-        elif op.text == ">":
+        elif op == ">":
             rel = GREATER
-        elif op.text == "=":
+        elif op == "=":
             rel = EQUAL
         else:
-            raise SpecParseError(
-                "syntax", f"expected >, = or >=, found {op.text!r}", cur.line, op.col
-            )
-        right = self._parse_tvar(cur)
+            raise cur.expected(i + 1, ">, = or >=")
+        right = self._parse_tvar(cur, i + 2)
+        i += 3
         offset = 0
-        sign = cur.accept("sym", "+") or cur.accept("sym", "-")
-        if sign:
-            num = cur.expect("num")
-            offset = int(num.text) if sign.text == "+" else -int(num.text)
-        return TimeConstraint(rel, left, right, offset)
+        sign = toks[i]
+        if sign == "+" or sign == "-":
+            num = cur.expect(i + 1, "num")
+            offset = int(num) if sign == "+" else -int(num)
+            i += 2
+        return TimeConstraint(rel, left, right, offset), i
 
-    def _parse_rule(self, line: int, tokens: list[Token]) -> tuple[Rule, ...]:
-        cur = _Cursor(tokens, line)
-        name_tok = cur.expect("string")
-        name = name_tok.text.strip('"')
-        cur.expect("sym", ":")
+    def _parse_rule(self, line: int, text: str) -> tuple[Rule, ...]:
+        cur = _Cursor(text, line, 1)
+        toks = cur.toks
+        name = cur.expect(1, "string").strip('"')
+        if toks[2] != ":":
+            raise cur.expected(2, repr(":"))
+        i = 3
         vars_seen: dict[str, str] = {}
 
         lhs: list[tuple[Fact, str]] = []
         while True:
-            f = self._parse_fact(cur, vars_seen)
-            cur.expect("sym", "@")
-            tv = self._parse_tvar(cur)
-            lhs.append((f, tv))
-            if not cur.accept("sym", ","):
+            f, i = self._parse_fact(cur, i, vars_seen)
+            if toks[i] != "@":
+                raise cur.expected(i, repr("@"))
+            lhs.append((f, self._parse_tvar(cur, i + 1)))
+            i += 2
+            if toks[i] != ",":
                 break
+            i += 1
         guard: list[TimeConstraint] = []
-        if cur.accept("sym", "|"):
+        if toks[i] == "|":
+            i += 1
             while True:
-                guard.append(self._parse_constraint(cur))
-                if not cur.accept("sym", ","):
+                c, i = self._parse_constraint(cur, i)
+                guard.append(c)
+                if toks[i] != ",":
                     break
-        cur.expect("arrow")
+                i += 1
+        if toks[i] != "->":
+            raise cur.expected(i, repr("arrow"))
+        i += 1
         rhs: list[tuple[Fact, str, int]] = []
         while True:
-            f = self._parse_fact(cur, vars_seen)
-            cur.expect("sym", "@")
-            if cur.accept("sym", "("):
-                tv = self._parse_tvar(cur)
-                cur.expect("sym", "+")
-                off = int(cur.expect("num").text)
-                cur.expect("sym", ")")
+            f, i = self._parse_fact(cur, i, vars_seen)
+            if toks[i] != "@":
+                raise cur.expected(i, repr("@"))
+            if toks[i + 1] == "(":
+                tv = self._parse_tvar(cur, i + 2)
+                if toks[i + 3] != "+":
+                    raise cur.expected(i + 3, repr("+"))
+                off = int(cur.expect(i + 4, "num"))
+                if toks[i + 5] != ")":
+                    raise cur.expected(i + 5, repr(")"))
+                i += 6
             else:
-                tv = self._parse_tvar(cur)
+                tv = self._parse_tvar(cur, i + 1)
                 off = 0
+                i += 2
             rhs.append((f, tv, off))
-            if not cur.accept("sym", ","):
+            if toks[i] != ",":
                 break
-        self._end(cur)
+            i += 1
+        cur.end(i)
 
         time_vars = [tv for f, tv in lhs if f.pred == TIME]
         rhs_time = [(f, tv, off) for f, tv, off in rhs if f.pred == TIME]
@@ -565,47 +613,57 @@ class _Parser:
         except RuleError as exc:
             raise SpecParseError("syntax", str(exc), line) from None
 
-    def _parse_init(self, line: int, tokens: list[Token]) -> list[TimestampedFact]:
-        cur = _Cursor(tokens, line)
+    def _parse_init(self, line: int, text: str) -> list[TimestampedFact]:
+        cur = _Cursor(text, line, 2)
+        toks = cur.toks
+        i = 2
         out = []
         vars_seen: dict[str, str] = {}
         while True:
-            f = self._parse_fact(cur, vars_seen)
+            f, i = self._parse_fact(cur, i, vars_seen)
             if vars_seen:
                 name = next(iter(vars_seen))
                 raise SpecParseError(
                     "syntax", f"initial facts must be ground, found variable {name!r}", line
                 )
-            cur.expect("sym", "@")
-            ts = int(cur.expect("num").text)
+            cur.expect(i, "@")
+            ts = int(cur.expect(i + 1, "num"))
             out.append(TimestampedFact(f, ts))
-            if not cur.accept("sym", ","):
+            i += 2
+            if toks[i] != ",":
                 break
-        self._end(cur)
+            i += 1
+        cur.end(i)
         return out
 
-    def _parse_critical(self, line: int, tokens: list[Token]) -> tuple[CriticalPair, ...]:
-        cur = _Cursor(tokens, line)
-        name = cur.expect("string").text.strip('"')
-        cur.expect("sym", ":")
-        cur.expect("sym", "{")
+    def _parse_critical(self, line: int, text: str) -> tuple[CriticalPair, ...]:
+        cur = _Cursor(text, line, 1)
+        toks = cur.toks
+        name = cur.expect(1, "string").strip('"')
+        cur.expect(2, ":")
+        cur.expect(3, "{")
+        i = 4
         vars_seen: dict[str, str] = {}
         patterns: list[RulePattern] = []
         while True:
-            f = self._parse_fact(cur, vars_seen)
-            cur.expect("sym", "@")
-            tv = self._parse_tvar(cur)
-            patterns.append(RulePattern(f, tv))
-            if not cur.accept("sym", ","):
+            f, i = self._parse_fact(cur, i, vars_seen)
+            cur.expect(i, "@")
+            patterns.append(RulePattern(f, self._parse_tvar(cur, i + 1)))
+            i += 2
+            if toks[i] != ",":
                 break
+            i += 1
         guard: list[TimeConstraint] = []
-        if cur.accept("sym", "|"):
-            while not (cur.peek() and cur.peek().text == "}"):
-                guard.append(self._parse_constraint(cur))
-                if not cur.accept("sym", ","):
+        if toks[i] == "|":
+            i += 1
+            while toks[i] != "}":
+                c, i = self._parse_constraint(cur, i)
+                guard.append(c)
+                if toks[i] != ",":
                     break
-        cur.expect("sym", "}")
-        self._end(cur)
+                i += 1
+        cur.expect(i, "}")
+        cur.end(i + 1)
         try:
             return expand_critical_pair(name, patterns, guard)
         except RuleError as exc:
@@ -616,11 +674,11 @@ class _Parser:
     def assemble(self) -> SpecFile:
         self.build_signature()
         rules: list[Rule] = []
-        for line, tokens in self.rule_lines:
-            rules.extend(self._parse_rule(line, tokens))
+        for line, text in self.rule_lines:
+            rules.extend(self._parse_rule(line, text))
         init_facts: list[TimestampedFact] = []
-        for line, tokens in self.init_lines:
-            init_facts.extend(self._parse_init(line, tokens))
+        for line, text in self.init_lines:
+            init_facts.extend(self._parse_init(line, text))
         if not self.init_lines:
             raise SpecParseError("single-time", "missing init block", 1)
         try:
@@ -632,8 +690,8 @@ class _Parser:
                 self.init_lines[0][0],
             ) from None
         pairs: list[CriticalPair] = []
-        for line, tokens in self.critical_lines:
-            pairs.extend(self._parse_critical(line, tokens))
+        for line, text in self.critical_lines:
+            pairs.extend(self._parse_critical(line, text))
         critical = CriticalSpec(tuple(pairs))
         try:
             system = make_system(
@@ -656,40 +714,18 @@ class _Parser:
 
 
 def parse_spec(text: str) -> SpecFile:
-    p = _Parser()
+    p = SpecParser()
     p.read(text)
     return p.assemble()
 
 
 def parse_fact_text(sig_or_spec, text: str, line: int = 1) -> Fact:
     """Parse one ground fact in the spec-file syntax."""
-    parser = _from_signature(sig_or_spec)
-    cur = _Cursor(_tokenize(text, line), line)
-    vars_seen: dict[str, str] = {}
-    f = parser._parse_fact(cur, vars_seen)
-    if vars_seen:
-        raise SpecParseError("syntax", "fact is not ground", line)
-    parser._end(cur)
-    return f
+    return SpecParser.for_signature(sig_or_spec).fact_text(text, line)
 
 
 def parse_term_text(sig_or_spec, text: str, expected: str, line: int = 1) -> Term:
-    parser = _from_signature(sig_or_spec)
-    cur = _Cursor(_tokenize(text, line), line)
-    t = parser._parse_term(cur, expected, {})
-    parser._end(cur)
-    return t
-
-
-def _from_signature(sig_or_spec) -> _Parser:
-    sig = sig_or_spec.system.signature if isinstance(sig_or_spec, SpecFile) else sig_or_spec
-    p = _Parser()
-    p.sorts = [s for s in sig.sorts if s not in RESERVED_SORTS]
-    p.preds = {k: v for k, v in sig.predicates.items() if k not in RESERVED_PREDS}
-    p.fns = {k: v for k, v in sig.functions.items() if k not in RESERVED_FNS}
-    p.consts = {k: v for k, v in sig.constants.items() if k not in RESERVED_CONSTS}
-    p.sig = sig
-    return p
+    return SpecParser.for_signature(sig_or_spec).term_text(text, expected, line)
 
 
 # ---------------------------------------------------------------------------

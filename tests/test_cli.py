@@ -235,3 +235,57 @@ class TestGenAndReplay:
         assert main(["replay", str(spec), str(rep)]) == 0
         parsed = parse_report(rep.read_text(), parse_spec(spec.read_text()))
         assert parsed.trace is not None and parsed.trace.tick_count() == 2
+
+    @staticmethod
+    def _counterexample(tmp_path):
+        spec = tmp_path / "d.spec"
+        main(["gen", "drone", "--recency", "2", "--out", str(spec)])
+        rep = tmp_path / "rep.json"
+        main(["verify", str(spec), "--mode", "survivability", "--ticks", "8",
+              "--out", str(rep)])
+        return spec, rep, json.loads(rep.read_text())
+
+    def test_realizability_claim_from_spec_init_without_lasso_rejected(self, tmp_path, capsys):
+        # Realizability fails for this spec; an empty trace from the real
+        # initial configuration cannot certify that it holds.
+        spec, rep, doc = self._counterexample(tmp_path)
+        forged = {"mode": "realizability", "outcome": "holds", "init": doc["init"], "trace": []}
+        rep.write_text(json.dumps(forged))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert "trace INVALID" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "ticks, forge",
+        [
+            (None, lambda doc: {**doc, "outcome": "fails"}),
+            ("2", lambda doc: {k: v for k, v in doc.items() if k != "ticks"}),
+        ],
+        ids=["fails-with-lasso", "bounded-holds-without-ticks"],
+    )
+    def test_artifact_must_match_mode_and_outcome(self, tick_spec, tmp_path, capsys, ticks, forge):
+        rep = tmp_path / "rep.json"
+        budget = [] if ticks is None else ["--ticks", ticks]
+        main(["verify", str(tick_spec), "--mode", "realizability", *budget, "--out", str(rep)])
+        assert main(["replay", str(tick_spec), str(rep)]) == 0
+        rep.write_text(json.dumps(forge(json.loads(rep.read_text()))))
+        capsys.readouterr()
+        assert main(["replay", str(tick_spec), str(rep)]) == 1
+        assert "trace INVALID" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda doc: {**doc, "init": [{**doc["init"][0], "ts": "x"}] + doc["init"][1:]},
+            lambda doc: {**doc, "init": ["Time"] + doc["init"][1:]},
+            lambda doc: {**doc, "trace": {"steps": doc["trace"]}},
+            lambda doc: [doc],
+        ],
+        ids=["ts-not-a-number", "init-entry-a-string", "trace-an-object", "top-level-array"],
+    )
+    def test_malformed_report_exits_3(self, tmp_path, capsys, malform):
+        spec, rep, doc = self._counterexample(tmp_path)
+        rep.write_text(json.dumps(malform(doc)))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 3
+        assert "input error" in capsys.readouterr().err

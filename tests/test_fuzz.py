@@ -1,0 +1,148 @@
+"""Fuzzing the two input parsers: spec text and JSON reports.
+
+Whatever the input, ``parse_spec`` may only fail with ``SpecParseError``
+and ``parse_report`` only with ``ReportError``; the command line turns
+both into exit 3. The runs are derandomized so that every test run
+checks the same inputs.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmsr.reports import ReportError, VerdictReport, emit_report, parse_report
+from tmsr.search import bounded_survivability, realizability
+from tmsr.scenarios import DroneParams, gen_drone
+from tmsr.specfile import HEADER, SpecParseError, parse_spec, print_spec
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+)
+
+DRONE_SPEC = print_spec(gen_drone(DroneParams(recency=2)))
+
+
+# Characters the spec syntax gives a meaning, a few it does not, and
+# non-ASCII letters and digits.
+SPEC_CHARS = st.sampled_from(list('\n\t "#@(),:|+-><={}_ATPDXdpsz0129é٣²~$'))
+
+# Any code point at all. Drawn as integers, since hypothesis's own text
+# strategies first build a Unicode table that takes seconds.
+ANY_CHAR = st.integers(0, 0x10FFFF).map(chr)
+
+
+def _parse_spec_or_diagnose(text: str) -> None:
+    try:
+        parse_spec(text)
+    except SpecParseError:
+        pass
+
+
+@FUZZ
+@given(st.lists(ANY_CHAR | SPEC_CHARS, max_size=200).map("".join))
+def test_parse_spec_on_arbitrary_text(text):
+    _parse_spec_or_diagnose(text)
+    _parse_spec_or_diagnose(f"{HEADER}\n{text}")
+
+
+@FUZZ
+@given(st.text(SPEC_CHARS, max_size=200))
+def test_parse_spec_on_spec_characters(text):
+    _parse_spec_or_diagnose(f"{HEADER}\npred P : Nat\n{text}")
+
+
+@FUZZ
+@given(
+    st.integers(0, len(DRONE_SPEC) - 1),
+    st.sampled_from(["delete", "replace", "insert"]),
+    SPEC_CHARS,
+)
+def test_parse_spec_on_mutated_drone_spec(pos, op, ch):
+    if op == "delete":
+        text = DRONE_SPEC[:pos] + DRONE_SPEC[pos + 1 :]
+    elif op == "replace":
+        text = DRONE_SPEC[:pos] + ch + DRONE_SPEC[pos + 1 :]
+    else:
+        text = DRONE_SPEC[:pos] + ch + DRONE_SPEC[pos:]
+    _parse_spec_or_diagnose(text)
+
+
+@pytest.fixture(scope="module")
+def drone_reports():
+    """Real reports to mutate, each with its spec: a bounded counterexample
+    trace (recency 2) and a realizability lasso (recency 6)."""
+    out = []
+    for recency, decide, ticks in [(2, bounded_survivability, 8), (6, realizability, None)]:
+        spec = gen_drone(DroneParams(recency=recency))
+        args = (spec.system, spec.init, spec.critical) + (() if ticks is None else (ticks,))
+        verdict = decide(*args)
+        out.append((spec, emit_report(VerdictReport(verdict, ticks=ticks))))
+    return out
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["", "Time", "tick", "Dr(d1,1,1,4)", "P(p1,0,1)", "X", "Nat", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(SPEC_CHARS, max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every place in a JSON document, as a key path from the root."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _mutate(doc, path, value, delete):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@FUZZ
+@given(data=st.data())
+def test_parse_report_on_mutated_reports(drone_reports, data):
+    spec, text = data.draw(st.sampled_from(drone_reports))
+    doc = json.loads(text)
+    paths = list(_paths(doc))
+    path = data.draw(st.sampled_from(paths))
+    mutated = _mutate(doc, path, data.draw(JSON_VALUES), data.draw(st.booleans()))
+    try:
+        parse_report(json.dumps(mutated), spec)
+    except ReportError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_parse_report_on_mutated_report_text(drone_reports, data):
+    spec, text = data.draw(st.sampled_from(drone_reports))
+    pos = data.draw(st.integers(0, len(text) - 1))
+    ch = data.draw(st.sampled_from(list('{}[]",:0123456789 tnfx-.eE\\')))
+    try:
+        parse_report(text[:pos] + ch + text[pos + 1 :], spec)
+    except ReportError:
+        pass

@@ -13,6 +13,7 @@ from tmsr.specfile import (
     SpecParseError,
     parse_fact_text,
     parse_spec,
+    parse_term_text,
     print_spec,
 )
 
@@ -207,6 +208,148 @@ class TestParse:
         assert "dmax=7" in print_spec(spec)
 
 
+# Malformed inputs and the diagnostic each one gets: code, line, column and
+# the full message. PRE declares what the inputs below may use.
+PRE = (
+    "tmsr-spec 1\nsort Id\nconst d1 : Id\nconst p1 : Id\n"
+    "pred Dr : Id Nat Nat Nat\npred P : Id Nat Nat\n"
+)
+INIT = "init: Time@0, P(p1,0,1)@0\n"
+GOOD_RULE = (
+    'rule "m": Time@T, P(p1,0,1)@T1 | T = T1 + 1 -> '
+    "Time@T, P(p1,0,1)@T1, Dr(d1,0,1,1)@(T+1)"
+)
+MALFORMED_SPECS = {
+    "stray-character": PRE + INIT + "params: k=4 $\n",
+    "stray-in-rule-before-later-error": PRE + 'rule "m": Time@T ~ -> Time@T\n' + "bogus x\n",
+    "unterminated-string": PRE + 'rule "m: Time@T -> Time@T\n' + INIT,
+    "hash-in-rule-name": PRE
+    + 'rule "a#b": Time@T, Q(p1)@T1 -> Time@T, Q(p1)@T1  # note\n'
+    + INIT,
+    "missing-arrow": PRE + 'rule "m": Time@T, P(p1,0,1)@T1 Time@T, P(p1,0,1)@T1\n' + INIT,
+    "too-many-args": PRE + 'rule "m": Time@T, P(p1,0,1,2)@T1 -> Time@T, P(p1,0,1,2)@T1\n' + INIT,
+    "too-few-args": PRE + 'rule "m": Time@T, P(p1,0)@T1 -> Time@T, P(p1,0)@T1\n' + INIT,
+    "missing-args": PRE + 'rule "m": Time@T, P@T1 -> Time@T, P@T1\n' + INIT,
+    "trailing-input": PRE + "sort Extra junk\n" + INIT,
+    "trailing-input-rule": PRE + GOOD_RULE + " )\n" + INIT,
+    "unknown-declaration": PRE + "predicate Q\n" + INIT,
+    "unknown-parameter": PRE + INIT + "params: k=4, depth=3\n",
+    "numeral-for-id": PRE + 'rule "m": Time@T, P(7,0,1)@T1 -> Time@T, P(7,0,1)@T1\n' + INIT,
+    "undeclared-predicate": PRE + "init: Time@0, Ghost(d1)@0\n",
+    "undeclared-constant": PRE + "init: Time@0, P(p9,0,1)@0\n",
+    "undeclared-function": PRE
+    + 'rule "m": Time@T, P(p1,f(0),1)@T1 -> Time@T, P(p1,f(0),1)@T1\n'
+    + INIT,
+    "bad-guard-operator": PRE
+    + 'rule "m": Time@T, P(p1,0,1)@T1 | T < T1 -> Time@T, P(p1,0,1)@T1\n'
+    + INIT,
+    "end-of-line": PRE + 'rule "m": Time@T, P(p1,0,1)@T1 ->\n' + INIT,
+    "empty-rule": PRE + "rule\n" + INIT,
+    "empty-init": PRE + "init:\n",
+    "init-without-colon": PRE + "init Time@0\n",
+    "missing-header": "tmsr-spec 2\n" + INIT,
+    "empty-spec": "# nothing\n\n",
+    "duplicate-sort": PRE + "sort Id\n" + INIT,
+    "tvar-lowercase": PRE + 'rule "m": Time@t -> Time@t\n' + INIT,
+    "critical-unclosed": PRE + INIT + 'critical "c": { P(p1,0,1)@T\n',
+    "tab-indented-error": PRE + INIT + '\tcritical\t"c": { P(p1,0,1)@T | T ! T }\n',
+    "stray-in-critical-before-rule-error": PRE
+    + 'rule "m": Time@T, Ghost@T -> Time@T\n'
+    + INIT
+    + 'critical "c": { P(p1,0,1)@T ? }\n',
+    "non-ascii-letter": PRE + "init: Time@0, P(p1,0,1)@0, \u00e9\n",
+    "fn-missing-result": PRE + "fn f : Nat Nat\n" + INIT,
+    "variable-sort-clash": PRE
+    + 'rule "m": Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1 -> '
+    + "Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1\n"
+    + INIT,
+}
+MALFORMED_FACTS = {
+    "fact-not-ground": "P(X,0,1)",
+    "fact-trailing": "P(p1,0,1) P",
+    "fact-stray": "P(p1,0,1)!",
+}
+MALFORMED_TERMS = {
+    "term-wrong-sort": ("p1", "Nat"),
+    "term-empty": ("", "Nat"),
+}
+DIAGNOSTICS = {
+    "stray-character": ("syntax", 8, 13, "8:13: [syntax] unexpected character '$'"),
+    "stray-in-rule-before-later-error": (
+        "syntax",
+        7,
+        18,
+        "7:18: [syntax] unexpected character '~'",
+    ),
+    "unterminated-string": ("syntax", 7, 6, "7:6: [syntax] unexpected character '\"'"),
+    "hash-in-rule-name": ("sort", 7, 21, "7:21: [sort] undeclared predicate 'Q'"),
+    "missing-arrow": ("syntax", 7, 32, "7:32: [syntax] expected 'arrow', found 'Time'"),
+    "too-many-args": ("arity", 7, 27, "7:27: [arity] predicate 'P' takes 3 arguments"),
+    "too-few-args": ("arity", 7, 25, "7:25: [arity] predicate 'P' takes 3 arguments"),
+    "missing-args": ("arity", 7, 19, "7:19: [arity] predicate 'P' takes 3 arguments, found 0"),
+    "trailing-input": ("syntax", 7, 12, "7:12: [syntax] trailing input 'junk'"),
+    "trailing-input-rule": ("syntax", 7, 89, "7:89: [syntax] trailing input ')'"),
+    "unknown-declaration": ("syntax", 7, 1, "7:1: [syntax] unknown declaration 'predicate'"),
+    "unknown-parameter": ("params", 8, 14, "8:14: [params] unknown parameter 'depth'"),
+    "numeral-for-id": ("sort", 7, 21, "7:21: [sort] numeral where a 'Id' term is expected"),
+    "undeclared-predicate": ("sort", 7, 15, "7:15: [sort] undeclared predicate 'Ghost'"),
+    "undeclared-constant": ("sort", 7, 17, "7:17: [sort] undeclared constant 'p9'"),
+    "undeclared-function": ("sort", 7, 24, "7:24: [sort] undeclared function 'f'"),
+    "bad-guard-operator": ("syntax", 7, 36, "7:36: [syntax] expected >, = or >=, found '<'"),
+    "end-of-line": ("syntax", 7, 32, "7:32: [syntax] unexpected end of line"),
+    "empty-rule": ("syntax", 7, 1, "7:1: [syntax] unexpected end of line"),
+    "empty-init": ("syntax", 7, 1, "7:1: [syntax] unexpected end of line"),
+    "init-without-colon": ("syntax", 7, 6, "7:6: [syntax] expected ':', found 'Time'"),
+    "missing-header": ("syntax", 1, 0, "1:0: [syntax] missing header line 'tmsr-spec 1'"),
+    "empty-spec": ("syntax", 1, 0, "1:0: [syntax] empty spec"),
+    "duplicate-sort": ("duplicate", 7, 6, "7:6: [duplicate] sort 'Id' already declared"),
+    "tvar-lowercase": ("syntax", 7, 16, "7:16: [syntax] time variable expected, found 't'"),
+    "critical-unclosed": ("syntax", 8, 27, "8:27: [syntax] unexpected end of line"),
+    "tab-indented-error": ("syntax", 8, 34, "8:34: [syntax] unexpected character '!'"),
+    "stray-in-critical-before-rule-error": (
+        "syntax",
+        9,
+        29,
+        "9:29: [syntax] unexpected character '?'",
+    ),
+    "non-ascii-letter": ("syntax", 7, 28, "7:28: [syntax] unexpected character 'é'"),
+    "fn-missing-result": ("syntax", 7, 12, "7:12: [syntax] unexpected end of line"),
+    "variable-sort-clash": (
+        "sort",
+        7,
+        38,
+        "7:38: [sort] variable 'X' used at sorts 'Id' and 'Nat'",
+    ),
+    "fact-not-ground": ("syntax", 1, 0, "1:0: [syntax] fact is not ground"),
+    "fact-trailing": ("syntax", 1, 11, "1:11: [syntax] trailing input 'P'"),
+    "fact-stray": ("syntax", 1, 10, "1:10: [syntax] unexpected character '!'"),
+    "term-wrong-sort": ("sort", 1, 1, "1:1: [sort] constant 'p1' has sort 'Id', expected 'Nat'"),
+    "term-empty": ("syntax", 1, 1, "1:1: [syntax] unexpected end of line"),
+}
+
+
+def _diagnose(name):
+    with pytest.raises(SpecParseError) as err:
+        if name in MALFORMED_SPECS:
+            parse_spec(MALFORMED_SPECS[name])
+        elif name in MALFORMED_FACTS:
+            parse_fact_text(parse_spec(PRE + INIT), MALFORMED_FACTS[name])
+        else:
+            parse_term_text(parse_spec(PRE + INIT), *MALFORMED_TERMS[name])
+    exc = err.value
+    return (exc.code, exc.line, exc.col, str(exc))
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("name", list(DIAGNOSTICS))
+    def test_diagnostic_is_pinned(self, name):
+        assert _diagnose(name) == DIAGNOSTICS[name]
+
+    def test_table_covers_every_input(self):
+        names = set(MALFORMED_SPECS) | set(MALFORMED_FACTS) | set(MALFORMED_TERMS)
+        assert names == set(DIAGNOSTICS)
+
+
 class TestRoundTrips:
     SPECS = {
         "drone-greedy": lambda: gen_drone(DroneParams(recency=3)),
@@ -215,6 +358,12 @@ class TestRoundTrips:
         ),
         "drone-station": lambda: gen_drone(
             DroneParams(single_slot_station=True, recency=3)
+        ),
+        "drone-greedy-d2-r9": lambda: gen_drone(
+            DroneParams(drones=2, recency=9, strategy="greedy")
+        ),
+        "drone-free-d2-r8": lambda: gen_drone(
+            DroneParams(drones=2, recency=8, strategy="free")
         ),
         "sat": lambda: gen_3sat(Cnf3(3, ((1, -2, 3), (-1, 2, -3)))),
         "tm": lambda: gen_tm(
