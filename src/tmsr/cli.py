@@ -5,7 +5,8 @@ property, optionally tick-bounded), ``gen`` (write a scenario spec file)
 and ``replay`` (re-validate a report's trace against its spec).
 
 Exit codes: 0 the property holds (or the input is valid), 1 it fails,
-2 undecided within the search budget, 3 input error.
+2 undecided within the search budget (or, for ``replay``, a report with
+nothing to certify), 3 input error.
 """
 
 from __future__ import annotations
@@ -101,11 +102,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec, text = _load_spec(args.spec)
-    budget = SearchBudget(
-        max_states=args.max_states,
-        max_seconds=args.timeout,
-        workers=args.workers,
-    )
+    budget = SearchBudget(max_states=args.max_states, max_seconds=args.timeout)
     ticks = None
     if args.ticks is not None:
         if args.ticks == "default":
@@ -237,7 +234,7 @@ def _cmd_replay(args) -> int:
     first = parsed.lasso.stem if parsed.lasso is not None else parsed.trace
     if first is None:
         print("report carries no trace to validate")
-        return EXIT_HOLDS
+        return EXIT_UNKNOWN
     if first.init != spec.init:
         print("trace INVALID: the trace does not start at the spec's initial configuration")
         return EXIT_FAILS
@@ -295,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--max-states", type=int, default=1_000_000)
     p_verify.add_argument("--timeout", type=float, default=600.0)
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--out", default=None, help="write the JSON report here")
     p_verify.set_defaults(func=_cmd_verify)
 

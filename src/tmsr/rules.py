@@ -180,22 +180,6 @@ class Rule:
         return max((cf.offset for cf in self.created), default=0)
 
 
-class TickRule:
-    """The unique clock rule: advances the global time by one."""
-
-    _instance: "TickRule | None" = None
-
-    def __new__(cls) -> "TickRule":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    name = TICK_LABEL
-
-
-TICK = TickRule()
-
-
 def tick(c: Configuration) -> Configuration:
     return c.replace_time(c.time + 1)
 
@@ -789,11 +773,10 @@ def check_balanced(sys: System) -> BalanceReport:
 class RuleProgress:
     name: str
     creates_future_fact: bool
-    past_only_consumption: bool
 
     @property
     def progressive(self) -> bool:
-        return self.creates_future_fact and self.past_only_consumption
+        return self.creates_future_fact
 
 
 @dataclass(frozen=True)
@@ -809,21 +792,22 @@ class ProgressReport:
 
 
 def check_progressive(sys: System) -> ProgressReport:
-    """Per-rule verdicts: at least one created fact strictly in the future,
-    and past-only bounds present on every consumed fact. The bounds are
-    materialized at construction, so the second check reports on them."""
+    """Per-rule verdicts: at least one created fact strictly in the future.
+    The other half of the definition, every consumed fact bounded to the
+    past, holds by construction: ``Rule.past_bounds`` is built from
+    ``consumed``."""
     balance = check_balanced(sys)
     if not balance.ok:
         raise RuleError(
             "progressive check requires a balanced system; unbalanced rules: "
             + ", ".join(balance.offenders())
         )
-    rows = []
-    for r in sys.rules:
-        future = any(cf.offset >= 1 for cf in r.created)
-        past = len(r.past_bounds) == len(r.consumed)
-        rows.append(RuleProgress(r.name, future, past))
-    return ProgressReport(tuple(rows))
+    return ProgressReport(
+        tuple(
+            RuleProgress(r.name, any(cf.offset >= 1 for cf in r.created))
+            for r in sys.rules
+        )
+    )
 
 
 def compute_dmax(

@@ -1,16 +1,23 @@
 """Decision procedures: realizability and survivability, bounded and not.
 
-Unbounded modes explore concrete configurations but key their visited
-sets on the truncated-difference quotient, which is finite for balanced
-systems and bisimilar to the concrete graph. Realizability holds iff the
-compliant part of that graph contains a reachable cycle (lazy sampling
-gives every state a successor, so an infinite compliant trace exists iff
-a compliant cycle does); the witness is a lasso. Survivability
-additionally requires that no critical state is reachable at all; the
-counterexample is the shortest trace to one.
+All four run on one explorer: a depth-first search for a compliant run
+and a breadth-first search for a critical state. Unbounded modes explore
+concrete configurations but key their visited sets on the
+truncated-difference quotient, which is finite for balanced systems and
+bisimilar to the concrete graph. Bounded modes key them on
+(configuration, ticks) and cut traces exactly at the n-th clock advance.
 
-Bounded modes run on concrete configurations with a tick budget; the
-trace is cut exactly at the n-th clock advance.
+Realizability is the depth-first search. Lazy sampling gives every state
+a successor, so an infinite compliant trace exists iff a compliant cycle
+is reachable; the witness is a lasso, or, bounded, a compliant trace
+with exactly n clock advances.
+
+Survivability is realizability plus "every admissible trace is good".
+As every state has a successor, it holds exactly when no critical state
+is reachable. So the breadth-first search runs first, and the shortest
+path to a critical state is the counterexample. When there is none, the
+depth-first search supplies the witness; nothing it meets is critical,
+so it only follows first successors.
 
 Two structural invariants are asserted on every explored path and
 counted in ``invariant_counters``: strictly fewer instantaneous steps
@@ -21,7 +28,7 @@ within (n+2)*m + n.
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 from .delta import abstract, count_bound
@@ -86,11 +93,6 @@ class Trace:
     def tick_count(self) -> int:
         return sum(1 for s in self.steps if s.label == TICK_LABEL)
 
-    def configs(self):
-        yield self.init
-        for s in self.steps:
-            yield s.config
-
 
 @dataclass(frozen=True)
 class Lasso:
@@ -106,7 +108,6 @@ class Lasso:
 class SearchBudget:
     max_states: int = 1_000_000
     max_seconds: float = 600.0
-    workers: int = 1
 
 
 @dataclass
@@ -128,27 +129,6 @@ class Verdict:
     counterexample: Trace | None = None
     critical_pair: int | None = None
     note: str = ""
-
-
-def _require_progressive(sys: System) -> None:
-    report = check_progressive(sys)
-    if not report.ok:
-        raise VerifierInputError(
-            "system is not progressive; offending rules: "
-            + ", ".join(report.offenders())
-        )
-
-
-def _l_sigma(sys: System, init: Configuration, dmax: int) -> str:
-    return str(
-        count_bound(
-            len(init),
-            sys.max_fact_size,
-            dmax,
-            sys.signature.predicate_count,
-            sys.signature.symbol_count,
-        )
-    )
 
 
 def lazy_successors(
@@ -176,20 +156,110 @@ def _check_run(run: int, label: str, m: int) -> int:
     return run + 1
 
 
+def _check_depth(depth: int, cap: int | None) -> None:
+    if cap is not None and depth > cap:
+        _violate("bounded_depth", f"search depth {depth} exceeds the cap {cap}")
+
+
 class _Clock:
+    """The budget of one verdict: states per search, seconds in all."""
+
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.start = _time.monotonic()
 
-    def expired(self) -> bool:
-        return _time.monotonic() - self.start > self.budget.max_seconds
+    def exhausted(self, states: int) -> bool:
+        return (
+            states > self.budget.max_states
+            or _time.monotonic() - self.start > self.budget.max_seconds
+        )
 
     def elapsed_ms(self) -> float:
         return (_time.monotonic() - self.start) * 1000.0
 
 
-# ---------------------------------------------------------------------------
-# Unbounded realizability: depth-first cycle search in the compliant part.
+@dataclass
+class _Search:
+    """What the searches of one verdict share. ``key`` maps a configuration
+    and its tick count to the visited-set key: the quotient class when
+    unbounded (``n`` is None), the pair itself under a tick budget."""
+
+    sys: System
+    init: Configuration
+    cs: CriticalSpec
+    n: int | None
+    key: Callable[[Configuration, int], Hashable]
+    cap: int | None
+    clock: _Clock
+    stats: SearchStats
+
+
+def _decide(
+    mode: str,
+    sys: System,
+    init: Configuration,
+    cs: CriticalSpec,
+    n: int | None,
+    budget: SearchBudget | None,
+) -> Verdict:
+    """The preamble the four procedures share, then the searches of ``mode``."""
+    progress = check_progressive(sys)
+    if not progress.ok:
+        raise VerifierInputError(
+            "system is not progressive; offending rules: "
+            + ", ".join(progress.offenders())
+        )
+    if n is not None and n < 1:
+        raise VerifierInputError("tick budget must be at least 1")
+    clock = _Clock(budget or SearchBudget())
+    dmax = compute_dmax(sys, init, cs)
+    cap = None if n is None else (n + 2) * len(init) + n
+    l_sigma = count_bound(
+        len(init),
+        sys.max_fact_size,
+        dmax,
+        sys.signature.predicate_count,
+        sys.signature.symbol_count,
+    )
+    stats = SearchStats(l_sigma_decimal=str(l_sigma), depth_cap=cap)
+
+    def done(outcome: str, **found) -> Verdict:
+        stats.elapsed_ms = clock.elapsed_ms()
+        return Verdict(mode, outcome, stats, **found)
+
+    hit = is_critical(cs, init)
+    if hit is not None:
+        stats.states = 1
+        return done(
+            FAILS,
+            counterexample=Trace(init),
+            critical_pair=hit[0],
+            note="initial configuration is critical",
+        )
+
+    if n is None:
+        key = lambda config, ticks: abstract(config, dmax)
+        no_run = "no compliant cycle reachable"
+    else:
+        key = lambda config, ticks: (config, ticks)
+        no_run = f"no compliant trace with exactly {n} clock advances"
+    s = _Search(sys, init, cs, n, key, cap, clock, stats)
+
+    survival = mode in (SURVIVABILITY, BOUNDED_SURVIVABILITY)
+    if survival:
+        outcome, path, pair = _critical_reach(s)
+        if outcome == FAILS:
+            return done(FAILS, counterexample=path, critical_pair=pair)
+        if outcome == UNKNOWN:
+            return done(UNKNOWN, note="budget exhausted")
+    outcome, witness = _compliant_run(s)
+    if outcome == HOLDS:
+        return done(HOLDS, witness=witness)
+    if outcome == UNKNOWN:
+        return done(UNKNOWN, note="budget exhausted")
+    if survival:
+        raise EngineInvariantError(f"no critical state reachable, yet {no_run}")
+    return done(FAILS, note=no_run)
 
 
 def realizability(
@@ -198,181 +268,151 @@ def realizability(
     cs: CriticalSpec,
     budget: SearchBudget | None = None,
 ) -> Verdict:
-    budget = budget or SearchBudget()
-    _require_progressive(sys)
-    dmax = compute_dmax(sys, init, cs)
-    clock = _Clock(budget)
-    stats = SearchStats(l_sigma_decimal=_l_sigma(sys, init, dmax))
-
-    hit = is_critical(cs, init)
-    if hit is not None:
-        stats.elapsed_ms = clock.elapsed_ms()
-        stats.states = 1
-        return Verdict(
-            REALIZABILITY,
-            FAILS,
-            stats,
-            counterexample=Trace(init),
-            critical_pair=hit[0],
-            note="initial configuration is critical",
-        )
-
-    m = len(init)
-    crit_memo: dict = {}
-
-    def critical_key(key, config) -> bool:
-        got = crit_memo.get(key)
-        if got is None:
-            got = is_critical(cs, config) is not None
-            crit_memo[key] = got
-        return got
-
-    # Stack entries: [entry_label, entry_subst, config, key, run, successors, idx]
-    GRAY, BLACK = 1, 2
-    color: dict = {}
-    init_key = abstract(init, dmax)
-    stack = [
-        [None, None, init, init_key, 0, lazy_successors(sys, init), 0]
-    ]
-    color[init_key] = GRAY
-    gray_depth = {init_key: 0}
-    seen_keys = {init_key}
-
-    while stack:
-        if clock.expired() or len(seen_keys) > budget.max_states:
-            stats.states = len(seen_keys)
-            stats.elapsed_ms = clock.elapsed_ms()
-            stats.peak_frontier = max(stats.peak_frontier, len(stack))
-            return Verdict(REALIZABILITY, UNKNOWN, stats, note="budget exhausted")
-        stats.peak_frontier = max(stats.peak_frontier, len(stack))
-        stats.max_depth = max(stats.max_depth, len(stack) - 1)
-        top = stack[-1]
-        succs = top[5]
-        if top[6] >= len(succs):
-            stack.pop()
-            color[top[3]] = BLACK
-            del gray_depth[top[3]]
-            continue
-        label, subst, child = succs[top[6]]
-        top[6] += 1
-        child_key = abstract(child, dmax)
-        seen_keys.add(child_key)
-        if critical_key(child_key, child):
-            continue
-        child_run = _check_run(top[4], label, m)
-        state = color.get(child_key)
-        if state == GRAY:
-            # Cycle closed: stem up to the gray entry, cycle from there.
-            at = gray_depth[child_key]
-            stem_steps = tuple(
-                TraceStep(e[0], e[1], e[2]) for e in stack[1 : at + 1]
-            )
-            cycle_steps = tuple(
-                TraceStep(e[0], e[1], e[2]) for e in stack[at + 1 :]
-            ) + (TraceStep(label, subst, child),)
-            stem = Trace(init, stem_steps)
-            cycle = Trace(stack[at][2], cycle_steps)
-            if not any(s.label == TICK_LABEL for s in cycle_steps):
-                _violate(
-                    "instantaneous_run",
-                    "witness cycle contains no clock advance",
-                )
-            stats.states = len(seen_keys)
-            stats.elapsed_ms = clock.elapsed_ms()
-            return Verdict(
-                REALIZABILITY, HOLDS, stats, witness=Lasso(stem, cycle)
-            )
-        if state == BLACK:
-            continue
-        color[child_key] = GRAY
-        gray_depth[child_key] = len(stack)
-        stack.append(
-            [label, subst, child, child_key, child_run, lazy_successors(sys, child), 0]
-        )
-
-    stats.states = len(seen_keys)
-    stats.elapsed_ms = clock.elapsed_ms()
-    return Verdict(
-        REALIZABILITY,
-        FAILS,
-        stats,
-        note="no compliant cycle reachable",
-    )
+    return _decide(REALIZABILITY, sys, init, cs, None, budget)
 
 
-# ---------------------------------------------------------------------------
-# Breadth-first reachability of a critical state (shortest counterexample).
-
-
-def _expand_layer(expand, layer, workers):
-    if workers > 1 and len(layer) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(expand, layer))
-    return [expand(node) for node in layer]
-
-
-def _critical_reach(
+def survivability(
     sys: System,
     init: Configuration,
     cs: CriticalSpec,
-    budget: SearchBudget,
-    clock: _Clock,
-    stats: SearchStats,
-    dmax: int,
-    max_ticks: int | None = None,
-) -> tuple[str, Trace | None, int | None, int]:
-    """Layered BFS over the quotient (or over (config, ticks) pairs when a
-    tick budget is given; the trace is cut at the last allowed clock
-    advance). Returns (status, shortest critical trace, pair index,
-    states); status is HOLDS (none reachable), FAILS (found), UNKNOWN
-    (budget)."""
+    budget: SearchBudget | None = None,
+) -> Verdict:
+    return _decide(SURVIVABILITY, sys, init, cs, None, budget)
+
+
+def bounded_realizability(
+    sys: System,
+    init: Configuration,
+    cs: CriticalSpec,
+    n: int,
+    budget: SearchBudget | None = None,
+) -> Verdict:
+    return _decide(BOUNDED_REALIZABILITY, sys, init, cs, n, budget)
+
+
+def bounded_survivability(
+    sys: System,
+    init: Configuration,
+    cs: CriticalSpec,
+    n: int,
+    budget: SearchBudget | None = None,
+) -> Verdict:
+    return _decide(BOUNDED_SURVIVABILITY, sys, init, cs, n, budget)
+
+
+# ---------------------------------------------------------------------------
+# Depth-first search for a compliant run.
+
+
+def _steps(entries) -> tuple[TraceStep, ...]:
+    return tuple(TraceStep(e[0], e[1], e[2]) for e in entries)
+
+
+def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | None]:
+    """A compliant lasso (unbounded) or a compliant trace with exactly
+    ``n`` clock advances (bounded): (HOLDS, witness), (FAILS, None) when
+    there is none, (UNKNOWN, None) when the budget ran out. Every key
+    generated counts as a state, critical ones included."""
+    sys, cs, n, init, key_of = s.sys, s.cs, s.n, s.init, s.key
     m = len(init)
+    # Stack entries: (label, subst, config, ticks, run, successors, index).
+    # ``seen`` maps each key to the entry pushed for it (False if it was
+    # never pushed); the entry is on the stack iff it is still at its index.
+    stack = [(None, None, init, 0, 0, iter(lazy_successors(sys, init)), 0)]
+    seen = {key_of(init, 0): stack[0]}
+    peak = 0
+    outcome, witness = FAILS, None
+    while stack:
+        if s.clock.exhausted(len(seen)):
+            outcome = UNKNOWN
+            break
+        if len(stack) > peak:
+            peak = len(stack)
+            _check_depth(peak - 1, s.cap)
+        top = stack[-1]
+        step = next(top[5], None)
+        if step is None:
+            stack.pop()
+            continue
+        label, subst, child = step
+        ticks = top[3] + (label == TICK_LABEL)
+        key = key_of(child, ticks)
+        entry = seen.get(key)
+        if entry is not None:
+            if entry is False or entry[6] >= len(stack) or stack[entry[6]] is not entry:
+                continue  # critical, or explored to the end
+            _check_run(top[4], label, m)
+            if n is not None:
+                _violate("instantaneous_run", "configuration repeats between clock advances")
+            # Cycle closed: stem up to the entry of the key, cycle from there.
+            at = entry[6]
+            cycle = _steps(stack[at + 1 :] + [step])
+            if not any(st.label == TICK_LABEL for st in cycle):
+                _violate("instantaneous_run", "witness cycle contains no clock advance")
+            stem = Trace(init, _steps(stack[1 : at + 1]))
+            outcome, witness = HOLDS, Lasso(stem, Trace(entry[2], cycle))
+            break
+        seen[key] = False
+        if is_critical(cs, child) is not None:
+            continue
+        run = _check_run(top[4], label, m)
+        if ticks == n:
+            outcome, witness = HOLDS, Trace(init, _steps(stack[1:] + [step]))
+            break
+        entry = (label, subst, child, ticks, run, iter(lazy_successors(sys, child)), len(stack))
+        seen[key] = entry
+        stack.append(entry)
 
-    def key_of(config, ticks):
-        if max_ticks is None:
-            return abstract(config, dmax)
-        return (config, ticks)
+    stats = s.stats
+    stats.states += len(seen)
+    stats.peak_frontier = max(stats.peak_frontier, peak, len(stack))
+    stats.max_depth = max(stats.max_depth, peak - 1)
+    return outcome, witness
 
-    hit = is_critical(cs, init)
-    if hit is not None:
-        return FAILS, Trace(init), hit[0], 1
 
+# ---------------------------------------------------------------------------
+# Breadth-first search for a critical state (shortest counterexample).
+
+
+def _critical_reach(s: _Search) -> tuple[str, Trace | None, int | None]:
+    """Layered search over the same keys as ``_compliant_run``; a node
+    with ``n`` clock advances is not expanded. Returns (FAILS, shortest
+    path to a critical state, its pair index), (HOLDS, None, None) when no
+    critical state is reachable, or (UNKNOWN, None, None)."""
+    sys, cs, n, init, key_of, stats = s.sys, s.cs, s.n, s.init, s.key, s.stats
+    m = len(init)
     init_key = key_of(init, 0)
     parents: dict = {init_key: None}
     # Node: (key, config, ticks, run)
     layer = [(init_key, init, 0, 0)]
     depth = 0
-
-    def expand(node):
-        _, config, ticks, run = node
-        if max_ticks is not None and ticks >= max_ticks:
-            return []
-        out = []
-        for label, subst, child in lazy_successors(sys, config):
-            child_ticks = ticks + (1 if label == TICK_LABEL else 0)
-            out.append((label, subst, child, child_ticks, run, node))
-        return out
-
-    while layer:
-        if clock.expired() or len(parents) > budget.max_states:
-            return UNKNOWN, None, None, len(parents)
-        stats.peak_frontier = max(stats.peak_frontier, len(layer))
-        depth += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        next_layer = []
-        for group in _expand_layer(expand, layer, budget.workers):
-            for label, subst, child, child_ticks, run, parent_node in group:
-                child_key = key_of(child, child_ticks)
-                if child_key in parents:
+    try:
+        while layer:
+            if s.clock.exhausted(len(parents)):
+                return UNKNOWN, None, None
+            stats.peak_frontier = max(stats.peak_frontier, len(layer))
+            depth += 1
+            _check_depth(depth, s.cap)
+            next_layer = []
+            for key, config, ticks, run in layer:
+                if ticks == n:
                     continue
-                parents[child_key] = (parent_node[0], label, subst, child)
-                hit = is_critical(cs, child)
-                if hit is not None:
-                    return FAILS, _chain(parents, init, child_key), hit[0], len(parents)
-                child_run = _check_run(run, label, m)
-                next_layer.append((child_key, child, child_ticks, child_run))
-        layer = next_layer
-    return HOLDS, None, None, len(parents)
+                for label, subst, child in lazy_successors(sys, config):
+                    child_ticks = ticks + (label == TICK_LABEL)
+                    child_key = key_of(child, child_ticks)
+                    if child_key in parents:
+                        continue
+                    parents[child_key] = (key, label, subst, child)
+                    hit = is_critical(cs, child)
+                    if hit is not None:
+                        return FAILS, _chain(parents, init, child_key), hit[0]
+                    child_run = _check_run(run, label, m)
+                    next_layer.append((child_key, child, child_ticks, child_run))
+            layer = next_layer
+        return HOLDS, None, None
+    finally:
+        stats.states += len(parents)
+        stats.max_depth = max(stats.max_depth, depth)
 
 
 def _chain(parents, init, key) -> Trace:
@@ -383,214 +423,6 @@ def _chain(parents, init, key) -> Trace:
         key = pkey
     steps.reverse()
     return Trace(init, tuple(steps))
-
-
-def survivability(
-    sys: System,
-    init: Configuration,
-    cs: CriticalSpec,
-    budget: SearchBudget | None = None,
-) -> Verdict:
-    budget = budget or SearchBudget()
-    _require_progressive(sys)
-    dmax = compute_dmax(sys, init, cs)
-    clock = _Clock(budget)
-    stats = SearchStats(l_sigma_decimal=_l_sigma(sys, init, dmax))
-
-    real = realizability(sys, init, cs, budget)
-    stats.states = real.stats.states
-    stats.max_depth = real.stats.max_depth
-    stats.peak_frontier = real.stats.peak_frontier
-    if real.outcome == UNKNOWN:
-        stats.elapsed_ms = clock.elapsed_ms()
-        return Verdict(SURVIVABILITY, UNKNOWN, stats, note=real.note)
-
-    status, counterexample, pair, reach_states = _critical_reach(
-        sys, init, cs, budget, clock, stats, dmax
-    )
-    stats.states += reach_states
-    stats.elapsed_ms = clock.elapsed_ms()
-    if status == UNKNOWN:
-        return Verdict(SURVIVABILITY, UNKNOWN, stats, note="budget exhausted")
-    if status == FAILS:
-        return Verdict(
-            SURVIVABILITY,
-            FAILS,
-            stats,
-            counterexample=counterexample,
-            critical_pair=pair,
-        )
-    if real.outcome == FAILS:
-        raise EngineInvariantError(
-            "no critical state reachable yet no compliant cycle found"
-        )
-    return Verdict(SURVIVABILITY, HOLDS, stats, witness=real.witness)
-
-
-# ---------------------------------------------------------------------------
-# Bounded modes: concrete search with a tick budget, cut at the n-th tick.
-
-
-def _bounded_cap(m: int, n: int) -> int:
-    return (n + 2) * m + n
-
-
-def bounded_realizability(
-    sys: System,
-    init: Configuration,
-    cs: CriticalSpec,
-    n: int,
-    budget: SearchBudget | None = None,
-) -> Verdict:
-    budget = budget or SearchBudget()
-    _require_progressive(sys)
-    if n < 1:
-        raise VerifierInputError("tick budget must be at least 1")
-    clock = _Clock(budget)
-    dmax = compute_dmax(sys, init, cs)
-    m = len(init)
-    cap = _bounded_cap(m, n)
-    stats = SearchStats(
-        l_sigma_decimal=_l_sigma(sys, init, dmax), depth_cap=cap
-    )
-
-    hit = is_critical(cs, init)
-    if hit is not None:
-        stats.states = 1
-        stats.elapsed_ms = clock.elapsed_ms()
-        return Verdict(
-            BOUNDED_REALIZABILITY,
-            FAILS,
-            stats,
-            counterexample=Trace(init),
-            critical_pair=hit[0],
-            note="initial configuration is critical",
-        )
-
-    visited = {(init, 0)}
-    # Stack entries: [label, subst, config, ticks, run, successors, idx]
-    stack = [[None, None, init, 0, 0, lazy_successors(sys, init), 0]]
-    while stack:
-        if clock.expired() or len(visited) > budget.max_states:
-            stats.states = len(visited)
-            stats.elapsed_ms = clock.elapsed_ms()
-            return Verdict(
-                BOUNDED_REALIZABILITY, UNKNOWN, stats, note="budget exhausted"
-            )
-        stats.peak_frontier = max(stats.peak_frontier, len(stack))
-        depth = len(stack) - 1
-        stats.max_depth = max(stats.max_depth, depth)
-        if depth > cap:
-            _violate(
-                "bounded_depth",
-                f"search depth {depth} exceeds the cap {cap}",
-            )
-        top = stack[-1]
-        succs = top[5]
-        if top[6] >= len(succs):
-            stack.pop()
-            continue
-        label, subst, child = succs[top[6]]
-        top[6] += 1
-        child_ticks = top[3] + (1 if label == TICK_LABEL else 0)
-        if is_critical(cs, child) is not None:
-            continue
-        child_run = _check_run(top[4], label, m)
-        if child_ticks == n:
-            steps = tuple(TraceStep(e[0], e[1], e[2]) for e in stack[1:]) + (
-                TraceStep(label, subst, child),
-            )
-            stats.states = len(visited)
-            stats.elapsed_ms = clock.elapsed_ms()
-            return Verdict(
-                BOUNDED_REALIZABILITY, HOLDS, stats, witness=Trace(init, steps)
-            )
-        node = (child, child_ticks)
-        if node in visited:
-            continue
-        visited.add(node)
-        stack.append(
-            [label, subst, child, child_ticks, child_run, lazy_successors(sys, child), 0]
-        )
-
-    stats.states = len(visited)
-    stats.elapsed_ms = clock.elapsed_ms()
-    return Verdict(
-        BOUNDED_REALIZABILITY,
-        FAILS,
-        stats,
-        note=f"no compliant trace with exactly {n} clock advances",
-    )
-
-
-def bounded_survivability(
-    sys: System,
-    init: Configuration,
-    cs: CriticalSpec,
-    n: int,
-    budget: SearchBudget | None = None,
-) -> Verdict:
-    budget = budget or SearchBudget()
-    _require_progressive(sys)
-    if n < 1:
-        raise VerifierInputError("tick budget must be at least 1")
-    clock = _Clock(budget)
-    dmax = compute_dmax(sys, init, cs)
-    m = len(init)
-    cap = _bounded_cap(m, n)
-    stats = SearchStats(
-        l_sigma_decimal=_l_sigma(sys, init, dmax), depth_cap=cap
-    )
-
-    real = bounded_realizability(sys, init, cs, n, budget)
-    stats.states = real.stats.states
-    stats.max_depth = real.stats.max_depth
-    stats.peak_frontier = real.stats.peak_frontier
-    if real.outcome == UNKNOWN:
-        stats.elapsed_ms = clock.elapsed_ms()
-        return Verdict(BOUNDED_SURVIVABILITY, UNKNOWN, stats, note=real.note)
-
-    status, counterexample, pair, reach_states = _critical_reach(
-        sys, init, cs, budget, clock, stats, dmax, max_ticks=n
-    )
-    stats.states += reach_states
-    if stats.max_depth > cap:
-        _violate(
-            "bounded_depth",
-            f"search depth {stats.max_depth} exceeds the cap {cap}",
-        )
-    stats.elapsed_ms = clock.elapsed_ms()
-    if real.outcome == FAILS:
-        # Not realizable; for a progressive system every trace then hits a
-        # critical state within the budget, so the reach search supplies
-        # the counterexample (unless it ran out of budget first).
-        if status == HOLDS:
-            raise EngineInvariantError(
-                "no critical state reachable yet no compliant bounded trace"
-            )
-        if status == UNKNOWN:
-            return Verdict(
-                BOUNDED_SURVIVABILITY, UNKNOWN, stats, note="budget exhausted"
-            )
-        return Verdict(
-            BOUNDED_SURVIVABILITY,
-            FAILS,
-            stats,
-            counterexample=counterexample,
-            critical_pair=pair,
-            note="not realizable within the tick budget",
-        )
-    if status == UNKNOWN:
-        return Verdict(BOUNDED_SURVIVABILITY, UNKNOWN, stats, note="budget exhausted")
-    if status == FAILS:
-        return Verdict(
-            BOUNDED_SURVIVABILITY,
-            FAILS,
-            stats,
-            counterexample=counterexample,
-            critical_pair=pair,
-        )
-    return Verdict(BOUNDED_SURVIVABILITY, HOLDS, stats, witness=real.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,8 @@ class SpecParser:
         argsorts: list[str] = []
         if cur.toks[2] == ":":
             argsorts = [cur.expect(i, "ident") for i in range(3, cur.n)]
+        else:
+            cur.end(2)
         self.preds[name] = tuple(argsorts)
 
     def _decl_fn(self, cur: _Cursor) -> None:

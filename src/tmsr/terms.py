@@ -326,11 +326,6 @@ class Configuration:
         return ", ".join(f"{fact_text(tf.fact)}@{tf.ts}" for tf in self.facts)
 
 
-def canonical_sequence(c: Configuration) -> tuple[TimestampedFact, ...]:
-    """The configuration's facts sorted by (timestamp, textual form)."""
-    return c.facts
-
-
 @dataclass(frozen=True, slots=True)
 class Substitution:
     """Grounding substitution: time variables to naturals, term variables

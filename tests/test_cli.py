@@ -103,26 +103,13 @@ class TestVerify:
     def test_bare_ticks_without_default_is_an_input_error(self, tick_spec):
         assert main(["verify", str(tick_spec), "--mode", "realizability", "--ticks"]) == 3
 
-    def test_worker_pool_reaches_the_same_verdict(self, tmp_path):
-        spec = tmp_path / "d.spec"
-        main(["gen", "drone", "--recency", "6", "--out", str(spec)])
-        codes = {
-            w: main(
-                ["verify", str(spec), "--mode", "survivability", "--ticks",
-                 "--workers", w]
-            )
-            for w in ("1", "4")
-        }
-        assert codes == {"1": 0, "4": 0}
-
     def test_reports_deterministic_up_to_timing(self, tmp_path):
         spec = tmp_path / "d.spec"
         main(["gen", "drone", "--recency", "2", "--out", str(spec)])
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            main(["verify", str(spec), "--mode", "survivability", "--ticks",
-                  "--workers", "1", "--out", str(out)])
+            main(["verify", str(spec), "--mode", "survivability", "--ticks", "--out", str(out)])
             outs.append(re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', out.read_text()))
         assert outs[0] == outs[1]
 
@@ -183,6 +170,17 @@ class TestGenAndReplay:
         rep.write_text(json.dumps(forged))
         assert main(["replay", str(spec), str(rep)]) == 1
         assert "trace INVALID" in capsys.readouterr().out
+
+    def test_report_without_artifact_is_not_certified(self, tmp_path, capsys):
+        # The spec fails realizability; a claim with nothing to replay
+        # must not exit 0, the code of a certified report.
+        spec = tmp_path / "d.spec"
+        main(["gen", "drone", "--recency", "2", "--out", str(spec)])
+        rep = tmp_path / "bare.json"
+        rep.write_text(json.dumps({"mode": "realizability", "outcome": "holds"}))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 2
+        assert "report carries no trace to validate" in capsys.readouterr().out
 
     def test_forged_lasso_stem_rejected(self, tmp_path, capsys):
         spec = tmp_path / "t.spec"

@@ -149,15 +149,6 @@ class TestBoundedSurvivability:
         assert outcomes[24] == HOLDS
         assert outcomes[12] == HOLDS and outcomes[6] == HOLDS
 
-    def test_workers_do_not_change_the_verdict(self):
-        spec = gen_drone(DroneParams(recency=2))
-        v1 = bounded_survivability(spec.system, spec.init, spec.critical, 8)
-        v2 = bounded_survivability(
-            spec.system, spec.init, spec.critical, 8, SearchBudget(workers=3)
-        )
-        assert v1.outcome == v2.outcome == FAILS
-        assert len(v1.counterexample.steps) == len(v2.counterexample.steps)
-
 
 class TestRealizability:
     def test_tick_only_lasso_is_a_self_loop(self):
@@ -200,6 +191,18 @@ class TestSurvivability:
     def test_tick_only_holds(self):
         sysm, init, cs = tick_only_system()
         assert survivability(sysm, init, cs).outcome == HOLDS
+
+    @pytest.mark.parametrize("drones, recency", [(1, 6), (2, 8)])
+    def test_witness_is_the_realizability_witness(self, drones, recency):
+        spec = gen_drone(DroneParams(drones=drones, recency=recency))
+        args = (spec.system, spec.init, spec.critical)
+        surv, real = survivability(*args), realizability(*args)
+        assert surv.outcome == real.outcome == HOLDS
+        assert surv.witness == real.witness
+        n = 4 * recency
+        surv, real = bounded_survivability(*args, n), bounded_realizability(*args, n)
+        assert surv.outcome == real.outcome == HOLDS
+        assert surv.witness == real.witness
 
     def test_deterministic_system_matches_realizability(self):
         for M in (1, 2):
@@ -328,16 +331,18 @@ class TestFreeTwoDroneRecencyEight:
         assert (real.outcome, real.stats.states) == (HOLDS, 2473)
         surv = survivability(spec.system, spec.init, spec.critical)
         assert surv.outcome == FAILS
-        assert surv.stats.states - real.stats.states == 428  # reach states
+        assert surv.stats.states == 428  # the critical-state search alone
         dmax = compute_dmax(spec.system, spec.init, spec.critical)
         assert validate_lasso(spec.system, spec.critical, real.witness, dmax)
-        pooled = survivability(
-            spec.system, spec.init, spec.critical, SearchBudget(workers=3)
+
+    def test_survivability_needs_only_the_critical_state_search(self, spec):
+        full = survivability(spec.system, spec.init, spec.critical)
+        small = survivability(
+            spec.system, spec.init, spec.critical, SearchBudget(max_states=1000)
         )
-        assert pooled.outcome == FAILS
-        assert pooled.counterexample == surv.counterexample
-        assert pooled.critical_pair == surv.critical_pair
-        assert pooled.stats.states == surv.stats.states
+        assert small.outcome == full.outcome == FAILS
+        assert small.counterexample == full.counterexample
+        assert small.critical_pair == full.critical_pair
 
     def test_match_attempts_per_enabled_call(self, spec, monkeypatch):
         # Deterministic guard on the rule index: the plain scan made one

@@ -231,6 +231,7 @@ MALFORMED_SPECS = {
     "too-few-args": PRE + 'rule "m": Time@T, P(p1,0)@T1 -> Time@T, P(p1,0)@T1\n' + INIT,
     "missing-args": PRE + 'rule "m": Time@T, P@T1 -> Time@T, P@T1\n' + INIT,
     "trailing-input": PRE + "sort Extra junk\n" + INIT,
+    "trailing-input-pred": PRE + "pred Q junk (\n" + INIT,
     "trailing-input-rule": PRE + GOOD_RULE + " )\n" + INIT,
     "unknown-declaration": PRE + "predicate Q\n" + INIT,
     "unknown-parameter": PRE + INIT + "params: k=4, depth=3\n",
@@ -288,6 +289,7 @@ DIAGNOSTICS = {
     "too-few-args": ("arity", 7, 25, "7:25: [arity] predicate 'P' takes 3 arguments"),
     "missing-args": ("arity", 7, 19, "7:19: [arity] predicate 'P' takes 3 arguments, found 0"),
     "trailing-input": ("syntax", 7, 12, "7:12: [syntax] trailing input 'junk'"),
+    "trailing-input-pred": ("syntax", 7, 8, "7:8: [syntax] trailing input 'junk'"),
     "trailing-input-rule": ("syntax", 7, 89, "7:89: [syntax] trailing input ')'"),
     "unknown-declaration": ("syntax", 7, 1, "7:1: [syntax] unknown declaration 'predicate'"),
     "unknown-parameter": ("params", 8, 14, "8:14: [params] unknown parameter 'depth'"),

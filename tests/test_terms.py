@@ -12,7 +12,6 @@ from tmsr import (
     UnboundVariableError,
     Var,
     apply_subst,
-    canonical_sequence,
     fact_size,
     fact_text,
 )
@@ -111,7 +110,7 @@ class TestApplySubst:
 
 class TestCanonicalSequence:
     def test_two_drone_example_order(self):
-        got = [f"{fact_text(tf.fact)}@{tf.ts}" for tf in canonical_sequence(TWO_DRONE_CONFIG)]
+        got = [f"{fact_text(tf.fact)}@{tf.ts}" for tf in TWO_DRONE_CONFIG.facts]
         assert got == [
             "P(p2,5,6)@0",
             "P(p1,1,1)@3",
@@ -122,7 +121,7 @@ class TestCanonicalSequence:
 
     def test_singleton(self):
         c = Configuration((ts(Fact("Time"), 0),))
-        assert canonical_sequence(c) == (ts(Fact("Time"), 0),)
+        assert c.facts == (ts(Fact("Time"), 0),)
 
     def test_duplicates_both_appear(self):
         c = Configuration(
@@ -139,7 +138,7 @@ class TestCanonicalSequence:
             rng.shuffle(shuffled)
             again = Configuration(tuple(shuffled))
             assert again == TWO_DRONE_CONFIG
-            assert canonical_sequence(again) == canonical_sequence(TWO_DRONE_CONFIG)
+            assert again.facts == TWO_DRONE_CONFIG.facts
 
 
 class TestConfigurationInvariants:
