@@ -4,12 +4,14 @@ Two configurations are equivalent for a truncation bound when their
 canonically ordered facts coincide and so do the pairwise-adjacent
 timestamp gaps, with every gap above the bound collapsed to infinity.
 For balanced systems the quotient is finite and bisimilar to the concrete
-transition system, so the searchers key their visited sets on it.
+transition system.
 
-Canonical serialization (stable, used for hashing and debugging dumps):
-facts in canonical order printed in their textual form, joined by the gap
-values, e.g. ``P(p1,1,1) ~inf~ Dr(d1,0,0,2) ~0~ Time``. Infinity prints
-as ``inf``.
+Each class has one normal member, built by :func:`normalize`: the
+earliest stamp is 0 and every gap above the bound is exactly one more
+than the bound. The unbounded searches explore concrete configurations
+and key their visited sets on the normal member. :func:`abstract` gives
+the class itself as a fact/gap sequence, which trace validation uses as
+an independent equivalence check.
 """
 
 from __future__ import annotations
@@ -17,17 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rules import (
-    CriticalSpec,
-    Substitution,
-    System,
-    TICK_LABEL,
-    apply_rule,
-    enabled,
-    is_critical,
-    tick,
-)
-from .terms import Configuration, Fact, TimestampedFact, fact_text, term_text
+from .terms import Configuration, Fact, TimestampedFact, fact_text
 
 INFINITY = math.inf
 
@@ -59,13 +51,6 @@ class DeltaConfig:
                     "canonical tie order"
                 )
 
-    def text(self) -> str:
-        parts = [fact_text(self.facts[0])]
-        for g, f in zip(self.gaps, self.facts[1:]):
-            parts.append(f"~{'inf' if math.isinf(g) else int(g)}~")
-            parts.append(fact_text(f))
-        return " ".join(parts)
-
 
 def abstract(c: Configuration, dmax: int) -> DeltaConfig:
     """Quotient representative of c: canonical facts plus truncated gaps."""
@@ -92,45 +77,25 @@ def representative(d: DeltaConfig) -> Configuration:
     return Configuration(tuple(out))
 
 
-StepLabel = tuple[str, tuple[tuple[str, str], ...]]
-"""Rule name (or "tick") plus the substitution restricted to term
-variables, rendered textually."""
-
-
-def term_label(rule_name: str, s: Substitution | None) -> StepLabel:
-    if s is None:
-        return (rule_name, ())
-    return (
-        rule_name,
-        tuple((v.name, term_text(t)) for v, t in s.term_items()),
-    )
-
-
-def delta_step(
-    sys: System, cs: CriticalSpec, d: DeltaConfig
-) -> list[tuple[StepLabel, DeltaConfig]]:
-    """Successors under lazy time sampling: one per enabled instantaneous
-    instance, or the single clock advance when none is enabled. Computed
-    on a representative; any representative yields the same set. Entries
-    may repeat when matches differing only in their time bindings lead to
-    the same class."""
-    c = representative(d)
-    pairs = enabled(sys, c)
-    if pairs:
-        return [
-            (
-                term_label(rule.name, s),
-                abstract(apply_rule(rule, c, s, sys.max_fact_size), d.dmax),
-            )
-            for rule, s in pairs
-        ]
-    return [((TICK_LABEL, ()), abstract(tick(c), d.dmax))]
-
-
-def delta_is_critical(cs: CriticalSpec, d: DeltaConfig) -> bool:
-    """Criticality of the class; invariant across representatives as long
-    as every constraint offset is within the bound."""
-    return is_critical(cs, representative(d)) is not None
+def normalize(c: Configuration, dmax: int) -> Configuration:
+    """The normal member of c's class, ``representative(abstract(c, dmax))``:
+    stamps shifted so the earliest is 0, gaps above dmax clamped to
+    dmax + 1. Returns c itself when it is already normal."""
+    if dmax < 1:
+        raise ValueError("truncation bound must be at least 1")
+    seq = c.facts
+    prev = seq[0].ts
+    ts = 0
+    out = []
+    for tf in seq:
+        gap = tf.ts - prev
+        prev = tf.ts
+        ts += gap if gap <= dmax else dmax + 1
+        out.append(tf if tf.ts == ts else TimestampedFact(tf.fact, ts))
+    out = tuple(out)
+    # Shifting and clamping keep stamps ordered and ties tied, so the
+    # canonical order carries over.
+    return c if out == seq else Configuration._canonical(out)
 
 
 def count_bound(

@@ -6,8 +6,7 @@ l_sigma_decimal), init (canonical config array), trace (step array,
 present for bounded witnesses and for counterexamples), lasso (stem and
 cycle step arrays, present for unbounded holds), optional critical_pair
 and note, version and input digest. Configurations always serialize in
-canonical order. All fields other than elapsed_ms are deterministic for
-single-worker runs.
+canonical order. All fields other than elapsed_ms are deterministic.
 """
 
 from __future__ import annotations

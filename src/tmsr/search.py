@@ -1,9 +1,11 @@
 """Decision procedures: realizability and survivability, bounded and not.
 
 All four run on one explorer: a depth-first search for a compliant run
-and a breadth-first search for a critical state. Unbounded modes explore
-concrete configurations but key their visited sets on the
-truncated-difference quotient, which is finite for balanced systems and
+and a breadth-first search for a critical state. Both explore concrete
+configurations from the initial one, so witnesses and counterexamples are
+concrete traces. Unbounded modes key their visited sets on the normal
+member of each configuration's class in the truncated-difference
+quotient (``delta.normalize``), which is finite for balanced systems and
 bisimilar to the concrete graph. Bounded modes key them on
 (configuration, ticks) and cut traces exactly at the n-th clock advance.
 
@@ -31,7 +33,7 @@ import time as _time
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .delta import abstract, count_bound
+from .delta import abstract, count_bound, normalize
 from .rules import (
     CriticalSpec,
     Rule,
@@ -168,11 +170,13 @@ class _Clock:
         self.budget = budget
         self.start = _time.monotonic()
 
-    def exhausted(self, states: int) -> bool:
-        return (
-            states > self.budget.max_states
-            or _time.monotonic() - self.start > self.budget.max_seconds
-        )
+    def exhausted(self, states: int) -> str | None:
+        """The note for the budget that ran out, or None."""
+        if states > self.budget.max_states:
+            return "state budget exhausted"
+        if _time.monotonic() - self.start > self.budget.max_seconds:
+            return "time budget exhausted"
+        return None
 
     def elapsed_ms(self) -> float:
         return (_time.monotonic() - self.start) * 1000.0
@@ -181,8 +185,9 @@ class _Clock:
 @dataclass
 class _Search:
     """What the searches of one verdict share. ``key`` maps a configuration
-    and its tick count to the visited-set key: the quotient class when
-    unbounded (``n`` is None), the pair itself under a tick budget."""
+    and its tick count to the visited-set key: the normal member of its
+    quotient class when unbounded (``n`` is None), the pair itself under a
+    tick budget."""
 
     sys: System
     init: Configuration
@@ -238,7 +243,7 @@ def _decide(
         )
 
     if n is None:
-        key = lambda config, ticks: abstract(config, dmax)
+        key = lambda config, ticks: normalize(config, dmax)
         no_run = "no compliant cycle reachable"
     else:
         key = lambda config, ticks: (config, ticks)
@@ -247,16 +252,16 @@ def _decide(
 
     survival = mode in (SURVIVABILITY, BOUNDED_SURVIVABILITY)
     if survival:
-        outcome, path, pair = _critical_reach(s)
+        outcome, found, pair = _critical_reach(s)
         if outcome == FAILS:
-            return done(FAILS, counterexample=path, critical_pair=pair)
+            return done(FAILS, counterexample=found, critical_pair=pair)
         if outcome == UNKNOWN:
-            return done(UNKNOWN, note="budget exhausted")
-    outcome, witness = _compliant_run(s)
+            return done(UNKNOWN, note=found)
+    outcome, found = _compliant_run(s)
     if outcome == HOLDS:
-        return done(HOLDS, witness=witness)
+        return done(HOLDS, witness=found)
     if outcome == UNKNOWN:
-        return done(UNKNOWN, note="budget exhausted")
+        return done(UNKNOWN, note=found)
     if survival:
         raise EngineInvariantError(f"no critical state reachable, yet {no_run}")
     return done(FAILS, note=no_run)
@@ -308,10 +313,10 @@ def _steps(entries) -> tuple[TraceStep, ...]:
     return tuple(TraceStep(e[0], e[1], e[2]) for e in entries)
 
 
-def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | None]:
+def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
     """A compliant lasso (unbounded) or a compliant trace with exactly
     ``n`` clock advances (bounded): (HOLDS, witness), (FAILS, None) when
-    there is none, (UNKNOWN, None) when the budget ran out. Every key
+    there is none, (UNKNOWN, the note naming the spent budget). Every key
     generated counts as a state, critical ones included."""
     sys, cs, n, init, key_of = s.sys, s.cs, s.n, s.init, s.key
     m = len(init)
@@ -323,8 +328,9 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | None]:
     peak = 0
     outcome, witness = FAILS, None
     while stack:
-        if s.clock.exhausted(len(seen)):
-            outcome = UNKNOWN
+        spent = s.clock.exhausted(len(seen))
+        if spent is not None:
+            outcome, witness = UNKNOWN, spent
             break
         if len(stack) > peak:
             peak = len(stack)
@@ -374,11 +380,13 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | None]:
 # Breadth-first search for a critical state (shortest counterexample).
 
 
-def _critical_reach(s: _Search) -> tuple[str, Trace | None, int | None]:
+def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
     """Layered search over the same keys as ``_compliant_run``; a node
     with ``n`` clock advances is not expanded. Returns (FAILS, shortest
     path to a critical state, its pair index), (HOLDS, None, None) when no
-    critical state is reachable, or (UNKNOWN, None, None)."""
+    critical state is reachable, or (UNKNOWN, the note naming the spent
+    budget, None). Like the depth-first search, it checks the budget for
+    every key generated."""
     sys, cs, n, init, key_of, stats = s.sys, s.cs, s.n, s.init, s.key, s.stats
     m = len(init)
     init_key = key_of(init, 0)
@@ -388,8 +396,6 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | None, int | None]:
     depth = 0
     try:
         while layer:
-            if s.clock.exhausted(len(parents)):
-                return UNKNOWN, None, None
             stats.peak_frontier = max(stats.peak_frontier, len(layer))
             depth += 1
             _check_depth(depth, s.cap)
@@ -406,6 +412,9 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | None, int | None]:
                     hit = is_critical(cs, child)
                     if hit is not None:
                         return FAILS, _chain(parents, init, child_key), hit[0]
+                    spent = s.clock.exhausted(len(parents))
+                    if spent is not None:
+                        return UNKNOWN, spent, None
                     child_run = _check_run(run, label, m)
                     next_layer.append((child_key, child, child_ticks, child_run))
             layer = next_layer

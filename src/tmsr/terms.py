@@ -303,25 +303,6 @@ class Configuration:
         insert_canonical(kept, TimestampedFact(Fact(TIME), ts))
         return Configuration._canonical(tuple(kept))
 
-    def without(self, removed: Iterable[TimestampedFact]) -> list[TimestampedFact]:
-        """Multiset subtraction; raises if an occurrence is missing."""
-        left = list(self.facts)
-        for tf in removed:
-            try:
-                left.remove(tf)
-            except ValueError:
-                raise ConfigurationError(
-                    f"fact {fact_text(tf.fact)}@{tf.ts} not present"
-                ) from None
-        return left
-
-    def contains(self, wanted: Iterable[TimestampedFact]) -> bool:
-        try:
-            self.without(wanted)
-        except ConfigurationError:
-            return False
-        return True
-
     def text(self) -> str:
         return ", ".join(f"{fact_text(tf.fact)}@{tf.ts}" for tf in self.facts)
 
@@ -368,23 +349,11 @@ class Substitution:
         except KeyError:
             raise UnboundVariableError(name) from None
 
-    def has_time(self, name: str) -> bool:
-        return name in self._times()
-
     def term(self, v: Var) -> Term:
         try:
             return self._terms()[v]
         except KeyError:
             raise UnboundVariableError(v.name) from None
-
-    def term_items(self) -> tuple[tuple[Var, Term], ...]:
-        return self.terms
-
-    def time_dict(self) -> dict[str, int]:
-        return dict(self.times)
-
-    def term_dict(self) -> dict[Var, Term]:
-        return dict(self.terms)
 
 
 def subst_term(t: Term, terms: Mapping[Var, Term]) -> Term:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import networkx as nx
 
@@ -72,6 +73,7 @@ def brute_force_matches(rule, config: Configuration) -> set[Substitution]:
         for a in tf.fact.args:
             terms |= ground_subterms(a)
     terms = sorted(terms, key=term_text)
+    present = Counter(config.facts)
 
     out = set()
     for tvals in itertools.product(stamps, repeat=len(tvars)):
@@ -91,7 +93,7 @@ def brute_force_matches(rule, config: Configuration) -> set[Substitution]:
                 ]
             except UnboundVariableError:
                 continue
-            if config.contains(needed):
+            if not Counter(needed) - present:  # multiset inclusion
                 out.add(
                     Substitution.of(
                         {tv: tmap[tv] for tv in tvars}, vmap

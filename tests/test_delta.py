@@ -17,9 +17,10 @@ from tmsr import (
     TimestampedFact,
     abstract,
     count_bound,
-    delta_is_critical,
-    delta_step,
     enabled,
+    is_critical,
+    lazy_successors,
+    normalize,
     representative,
 )
 from tmsr.delta import DeltaConfig
@@ -62,6 +63,8 @@ class TestAbstract:
     def test_bound_below_one_rejected(self):
         with pytest.raises(ValueError):
             abstract(TWO_DRONE_CONFIG, 0)
+        with pytest.raises(ValueError):
+            normalize(TWO_DRONE_CONFIG, 0)
 
     def test_equal_abstraction_iff_equivalent(self):
         shifted = Configuration(
@@ -78,6 +81,27 @@ class TestAbstract:
             )
         )
         assert abstract(squeezed, 4) != abstract(TWO_DRONE_CONFIG, 4)
+
+
+def random_configs():
+    """300 random configurations, each with a bound between 1 and 4."""
+    rng = random.Random(99)
+    facts = [Fact("A"), Fact("B"), Fact("C"), Fact("Time")]
+    for _ in range(300):
+        dmax = rng.randint(1, 4)
+        n = rng.randint(1, 4)
+        chosen = rng.sample(facts, n)
+        if Fact("Time") not in chosen:
+            chosen[-1] = Fact("Time")
+        chosen.sort(key=fact_text)
+        # stamps must be non-decreasing with the canonical tie-break
+        stamps = []
+        t = 0
+        for f in chosen:
+            if stamps and rng.random() < 0.6:
+                t += rng.randint(0, dmax + 3)
+            stamps.append(t)
+        yield Configuration(tuple(ts(f, s) for f, s in zip(chosen, stamps))), dmax
 
 
 class TestRepresentative:
@@ -97,23 +121,7 @@ class TestRepresentative:
         assert again.gaps == (3, 1, 0, 0) and again == d
 
     def test_random_round_trips(self):
-        rng = random.Random(99)
-        facts = [Fact("A"), Fact("B"), Fact("C"), Fact("Time")]
-        for _ in range(300):
-            dmax = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            chosen = rng.sample(facts, n)
-            if Fact("Time") not in chosen:
-                chosen[-1] = Fact("Time")
-            chosen.sort(key=fact_text)
-            # stamps must be non-decreasing with the canonical tie-break
-            stamps = []
-            t = 0
-            for f in chosen:
-                if stamps and rng.random() < 0.6:
-                    t += rng.randint(0, dmax + 3)
-                stamps.append(t)
-            config = Configuration(tuple(ts(f, s) for f, s in zip(chosen, stamps)))
+        for config, dmax in random_configs():
             d = abstract(config, dmax)
             assert abstract(representative(d), dmax) == d
 
@@ -150,32 +158,52 @@ class TestRepresentative:
             assert abstract(representative(d), dmax) == d
 
 
+class TestNormalize:
+    def test_equals_representative_of_abstraction(self):
+        for config, dmax in random_configs():
+            assert normalize(config, dmax) == representative(abstract(config, dmax))
+
+    def test_idempotent_and_identity_on_normal_configurations(self):
+        for config, dmax in random_configs():
+            normal = normalize(config, dmax)
+            assert normalize(normal, dmax) is normal
+
+
+def normal_successors(sysm, c, dmax=2):
+    return {normalize(child, dmax) for _, _, child in lazy_successors(sysm, c)}
+
+
 class TestDeltaStep:
+    """The quotient's step: lazy successors, keyed by their normal form."""
+
     def test_tick_when_nothing_enabled(self):
         rng = random.Random(3)
         sysm, init, cs = random_progressive_system(rng)
-        d = abstract(init, 2)
-        succs = delta_step(sysm, cs, d)
-        if not enabled(sysm, representative(d)):
+        c = normalize(init, 2)
+        succs = lazy_successors(sysm, c)
+        if not enabled(sysm, c):
             assert len(succs) == 1
-            assert succs[0][0] == ("tick", ())
+            assert succs[0][:2] == ("tick", None)
 
     def test_tick_advances_clock_gap(self):
         from tmsr import make_signature, make_system
 
         sysm = make_system(make_signature((), {"P": ()}, {}, {}), [])
-        d = DeltaConfig((Fact("P"), Fact("Time")), (0,), 2)
-        ((label, nxt),) = delta_step(sysm, CriticalSpec(), d)
-        assert label == ("tick", ())
-        assert nxt == DeltaConfig((Fact("P"), Fact("Time")), (1,), 2)
+        c = Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 0)))
+        ((label, _, nxt),) = lazy_successors(sysm, c)
+        assert label == "tick"
+        assert normalize(nxt, 2) == Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 1)))
+        # Past the bound the clock gap stays in its class.
+        c = Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 3)))
+        assert normal_successors(sysm, c) == {c}
 
     def test_successor_count_matches_enabled(self):
         rng = random.Random(13)
         for _ in range(60):
             sysm, init, cs = random_progressive_system(rng)
-            d = abstract(init, 2)
-            pairs = enabled(sysm, representative(d))
-            succs = delta_step(sysm, cs, d)
+            c = normalize(init, 2)
+            pairs = enabled(sysm, c)
+            succs = lazy_successors(sysm, c)
             if pairs:
                 assert len(succs) == len(pairs)
             else:
@@ -188,25 +216,14 @@ class TestDeltaStep:
             shifted = Configuration(
                 tuple(ts(tf.fact, tf.ts + 5) for tf in init.facts)
             )
-            d1 = abstract(init, 2)
-            d2 = abstract(shifted, 2)
-            assert d1 == d2
-            from tmsr import apply_rule, tick
-
-            def concrete_successors(c):
-                pairs = enabled(sysm, c)
-                if pairs:
-                    return {
-                        abstract(apply_rule(r, c, s, sysm.max_fact_size), 2)
-                        for r, s in pairs
-                    }
-                return {abstract(tick(c), 2)}
-
-            assert concrete_successors(init) == concrete_successors(shifted)
-            assert concrete_successors(init) == {nxt for _, nxt in delta_step(sysm, cs, d1)}
+            assert normalize(init, 2) == normalize(shifted, 2)
+            assert normal_successors(sysm, init) == normal_successors(sysm, shifted)
 
 
 class TestDeltaCritical:
+    """Criticality is the same on a configuration and on its normal form
+    as long as every constraint offset is within the bound."""
+
     def test_time_free_pattern(self):
         cs = CriticalSpec(
             (
@@ -220,7 +237,7 @@ class TestDeltaCritical:
         config = Configuration(
             (ts(Fact("Time"), 2), ts(Fact("Dr", (Const("d1"), 0, 0, 0)), 1))
         )
-        assert delta_is_critical(cs, abstract(config, 2)) is True
+        assert is_critical(cs, normalize(config, 2)) is not None
 
     @staticmethod
     def stale_spec(bound):
@@ -232,27 +249,39 @@ class TestDeltaCritical:
                         RulePattern(Fact("P", (Const("p1"), 1, 1)), "T1"),
                         RulePattern(Fact(TIME), "T"),
                     ),
-                    (TimeConstraint(GREATER, "T", "T1", 2),),
+                    (TimeConstraint(GREATER, "T", "T1", bound),),
                 ),
             )
         )
 
+    @staticmethod
+    def aged(gap):
+        return Configuration(
+            (ts(Fact("P", (Const("p1"), 1, 1)), 4), ts(Fact("Time"), 4 + gap))
+        )
+
     def test_infinite_gap_is_stale(self):
-        d = DeltaConfig((Fact("P", (Const("p1"), 1, 1)), Fact("Time")), (INFINITY,), 2)
-        assert delta_is_critical(self.stale_spec(2), d) is True
+        c = normalize(self.aged(10), 2)
+        assert c == Configuration(
+            (ts(Fact("P", (Const("p1"), 1, 1)), 0), ts(Fact("Time"), 3))
+        )
+        assert is_critical(self.stale_spec(2), c) is not None
 
     def test_gap_at_bound_is_fresh_enough(self):
-        d = DeltaConfig((Fact("P", (Const("p1"), 1, 1)), Fact("Time")), (2,), 2)
-        assert delta_is_critical(self.stale_spec(2), d) is False
+        c = normalize(self.aged(2), 2)
+        assert is_critical(self.stale_spec(2), c) is None
 
     def test_matches_concrete_verdict_on_random_systems(self):
-        from tmsr import is_critical
-
         rng = random.Random(55)
         for _ in range(80):
             sysm, init, cs = random_progressive_system(rng)
-            d = abstract(init, 2)
-            assert delta_is_critical(cs, d) == (is_critical(cs, init) is not None)
+            # Stretched stamps put gaps past the bound.
+            stretched = Configuration(
+                tuple(ts(tf.fact, 3 * tf.ts + 5) for tf in init.facts)
+            )
+            for c in (init, stretched):
+                want = is_critical(cs, c) is not None
+                assert (is_critical(cs, normalize(c, 2)) is not None) == want
 
 
 class TestCountBound:
@@ -285,8 +314,11 @@ class TestCountBound:
 class TestSerialization:
     def test_text_form_is_stable_and_hash_friendly(self):
         d = abstract(TWO_DRONE_CONFIG, 1)
-        assert d.text() == (
-            "P(p2,5,6) ~inf~ P(p1,1,1) ~1~ Dr(d1,1,2,10) ~0~ Dr(d2,5,5,8) ~0~ Time"
-        )
         assert hash(d) == hash(abstract(TWO_DRONE_CONFIG, 1))
         assert d in {abstract(TWO_DRONE_CONFIG, 1)}
+        c = normalize(TWO_DRONE_CONFIG, 1)
+        assert c.text() == (
+            "P(p2,5,6)@0, P(p1,1,1)@2, Dr(d1,1,2,10)@3, Dr(d2,5,5,8)@3, Time@3"
+        )
+        assert hash(c) == hash(normalize(TWO_DRONE_CONFIG, 1))
+        assert c in {normalize(TWO_DRONE_CONFIG, 1)}

@@ -114,7 +114,7 @@ class TestBoundedRealizability:
         v = bounded_realizability(
             spec.system, spec.init, spec.critical, 24, SearchBudget(max_states=5)
         )
-        assert v.outcome == UNKNOWN
+        assert (v.outcome, v.note) == (UNKNOWN, "state budget exhausted")
 
 
 class TestBoundedSurvivability:
@@ -343,6 +343,21 @@ class TestFreeTwoDroneRecencyEight:
         assert small.outcome == full.outcome == FAILS
         assert small.counterexample == full.counterexample
         assert small.critical_pair == full.critical_pair
+
+    def test_critical_state_search_stops_at_the_state_budget(self, spec):
+        # Checked for every key, as in the depth-first search, not once
+        # per breadth-first layer.
+        v = survivability(
+            spec.system, spec.init, spec.critical, SearchBudget(max_states=50)
+        )
+        assert (v.outcome, v.stats.states) == (UNKNOWN, 51)
+        assert v.note == "state budget exhausted"
+
+    def test_spent_time_budget_is_named(self, spec):
+        budget = SearchBudget(max_seconds=0.0)
+        for procedure in (realizability, survivability):
+            v = procedure(spec.system, spec.init, spec.critical, budget)
+            assert (v.outcome, v.note) == (UNKNOWN, "time budget exhausted")
 
     def test_match_attempts_per_enabled_call(self, spec, monkeypatch):
         # Deterministic guard on the rule index: the plain scan made one

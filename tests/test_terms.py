@@ -153,7 +153,3 @@ class TestConfigurationInvariants:
             Configuration(
                 (ts(Fact("Time"), 0), ts(Fact("P", (Var("X", "Nat"),)), 0))
             )
-
-    def test_multiset_subtraction_reports_missing(self):
-        with pytest.raises(ConfigurationError):
-            TWO_DRONE_CONFIG.without([ts(Fact("Nope"), 0)])
