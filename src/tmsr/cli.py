@@ -6,7 +6,7 @@ and ``replay`` (re-validate a report's trace against its spec).
 
 Exit codes: 0 the property holds (or the input is valid), 1 it fails,
 2 undecided within the search budget (or, for ``replay``, a report with
-nothing to certify), 3 input error.
+nothing to certify), 3 input error, usage errors included.
 """
 
 from __future__ import annotations
@@ -53,29 +53,45 @@ EXIT_INPUT = 3
 OUTCOME_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNKNOWN: EXIT_UNKNOWN}
 
 
-def _load_spec(path: str) -> tuple[SpecFile, str]:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise TmsrError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise TmsrError(f"cannot write {path}: {exc}") from None
+
+
+def _load_spec(path: str) -> tuple[SpecFile, str]:
+    text = _read(path)
     return parse_spec(text), text
+
+
+def _int(option: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TmsrError(f"{option}: {text!r} is not an integer") from None
 
 
 def _cmd_check(args) -> int:
     spec, _ = _load_spec(args.spec)
     sys_ = spec.system
-    balance = check_balanced(sys_)
+    unbalanced = check_balanced(sys_)
     print(f"rules: {len(sys_.rules)}")
-    print(f"balanced: {'yes' if balance.ok else 'no: ' + ', '.join(balance.offenders())}")
+    print(f"balanced: {'no: ' + ', '.join(unbalanced) if unbalanced else 'yes'}")
     progressive_ok = False
-    if balance.ok:
-        progress = check_progressive(sys_)
-        progressive_ok = progress.ok
-        print(
-            "progressive: "
-            + ("yes" if progress.ok else "no: " + ", ".join(progress.offenders()))
-        )
+    if not unbalanced:
+        offenders = check_progressive(sys_)
+        progressive_ok = not offenders
+        print(f"progressive: {'no: ' + ', '.join(offenders) if offenders else 'yes'}")
     else:
         print("progressive: not checked (unbalanced)")
     dmax = compute_dmax(sys_, spec.init, spec.critical)
@@ -97,7 +113,7 @@ def _cmd_check(args) -> int:
             )
         )
     )
-    return EXIT_HOLDS if balance.ok and progressive_ok else EXIT_FAILS
+    return EXIT_HOLDS if progressive_ok else EXIT_FAILS
 
 
 def _cmd_verify(args) -> int:
@@ -110,7 +126,7 @@ def _cmd_verify(args) -> int:
                 raise TmsrError("spec declares no default tick budget")
             ticks = spec.ticks
         else:
-            ticks = int(args.ticks)
+            ticks = _int("--ticks", args.ticks)
 
     if args.mode == REALIZABILITY:
         if ticks is None:
@@ -130,42 +146,80 @@ def _cmd_verify(args) -> int:
     report = VerdictReport(verdict, ticks=ticks, digest=input_digest(text))
     payload = emit_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write(args.out, payload)
         print(f"{verdict.mode}: {verdict.outcome} (report written to {args.out})")
     else:
         sys.stdout.write(payload)
     return OUTCOME_EXIT[verdict.outcome]
 
 
-def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
+def _fields(option: str, text: str, width: int | None) -> list[list[str]]:
+    """The nonblank ';'-separated chunks of text, each split at ',' into
+    ``width`` fields (any number if None)."""
     out = []
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, y = chunk.split(",")
-        out.append((int(x), int(y)))
-    return tuple(out)
+        if chunk.strip():
+            fields = chunk.split(",")
+            if width is not None and len(fields) != width:
+                raise TmsrError(f"{option}: {chunk.strip()!r} needs {width} fields")
+            out.append(fields)
+    return out
+
+
+def _pairs(option: str, text: str) -> tuple[tuple[int, int], ...]:
+    return tuple((_int(option, x), _int(option, y)) for x, y in _fields(option, text, 2))
+
+
+def _load_machine(path: str) -> TmSpec:
+    try:
+        m = json.loads(_read(path))
+    except ValueError as exc:
+        raise TmsrError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(m, dict):
+        raise TmsrError(f"{path}: a machine description is a JSON object")
+    try:
+        word = m.get("input", [])
+        if isinstance(word, str):
+            word = list(word)
+        return TmSpec(
+            states=tuple(m["states"]),
+            final_states=frozenset(m.get("final", [])),
+            alphabet=tuple(m["alphabet"]),
+            instructions={
+                (q, sym): (q2, sym2, move)
+                for q, sym, q2, sym2, move in m["instructions"]
+            },
+            space=int(m["space"]),
+            input_word=tuple(word),
+            start_state=m.get("start"),
+            head=int(m.get("head", 1)),
+        )
+    except KeyError as exc:
+        raise TmsrError(f"{path}: machine description lacks {exc}") from None
+    except (LookupError, TypeError, ValueError) as exc:
+        raise TmsrError(f"{path}: malformed machine description: {exc}") from None
 
 
 def _cmd_gen(args) -> int:
     if args.kind == "drone":
-        x_max, y_max = (int(v) for v in args.grid.split("x"))
+        grid = args.grid.split("x")
+        if len(grid) != 2:
+            raise TmsrError(f"--grid: {args.grid!r} is not of the form XxY")
+        base = _pairs("--base", args.base)
+        if len(base) != 1:
+            raise TmsrError(f"--base: {args.base!r} is not one cell x,y")
         spec = gen_drone(
             DroneParams(
                 drones=args.drones,
-                points=_parse_pairs(args.points),
-                x_max=x_max,
-                y_max=y_max,
-                base=_parse_pairs(args.base)[0],
+                points=_pairs("--points", args.points),
+                x_max=_int("--grid", grid[0]),
+                y_max=_int("--grid", grid[1]),
+                base=base[0],
                 recency=args.recency,
                 energy_cap=args.energy,
                 wind=tuple(
-                    (int(x), int(y), d)
-                    for x, y, d in (
-                        w.split(",") for w in args.wind.split(";") if w.strip()
-                    )
+                    (_int("--wind", x), _int("--wind", y), d)
+                    for x, y, d in _fields("--wind", args.wind, 3)
                 ),
                 strategy=args.strategy,
                 single_slot_station=args.station,
@@ -173,39 +227,17 @@ def _cmd_gen(args) -> int:
             )
         )
     elif args.kind == "3sat":
-        clauses = []
-        for chunk in args.clauses.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            lits = tuple(int(v) for v in chunk.split(","))
-            clauses.append(lits)
+        clauses = [
+            tuple(_int("--clauses", v) for v in lits)
+            for lits in _fields("--clauses", args.clauses, None)
+        ]
+        if not clauses:
+            raise TmsrError("--clauses: no clause given")
         variables = args.vars or max(abs(l) for c in clauses for l in c)
         spec = gen_3sat(Cnf3(variables, tuple(clauses)))
     else:
-        with open(args.machine, encoding="utf-8") as fh:
-            m = json.load(fh)
-        word = m.get("input", [])
-        if isinstance(word, str):
-            word = list(word)
-        spec = gen_tm(
-            TmSpec(
-                states=tuple(m["states"]),
-                final_states=frozenset(m.get("final", [])),
-                alphabet=tuple(m["alphabet"]),
-                instructions={
-                    (q, sym): (q2, sym2, move)
-                    for q, sym, q2, sym2, move in m["instructions"]
-                },
-                space=int(m["space"]),
-                input_word=tuple(word),
-                start_state=m.get("start"),
-                head=int(m.get("head", 1)),
-            )
-        )
-    text = print_spec(spec)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        spec = gen_tm(_load_machine(args.machine))
+    _write(args.out, print_spec(spec))
     print(f"wrote {args.out} ({len(spec.system.rules)} rules)")
     return EXIT_HOLDS
 
@@ -225,11 +257,7 @@ def _artifact_mismatch(parsed) -> str | None:
 
 def _cmd_replay(args) -> int:
     spec, _ = _load_spec(args.spec)
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            parsed = parse_report(fh.read(), spec)
-    except OSError as exc:
-        raise TmsrError(f"cannot read {args.report}: {exc}") from None
+    parsed = parse_report(_read(args.report), spec)
 
     first = parsed.lasso.stem if parsed.lasso is not None else parsed.trace
     if first is None:
@@ -265,8 +293,16 @@ def _cmd_replay(args) -> int:
     return EXIT_FAILS
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3, since 2 means undecided."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tmsr",
         description="Timed multiset rewriting verifier",
     )

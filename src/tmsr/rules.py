@@ -5,8 +5,8 @@ keeps a multiset of preserved fact patterns, consumes a multiset of fact
 patterns and creates fact patterns stamped at a non-negative offset from
 the clock. Every consumed pattern additionally carries the implicit
 past-only bound (its timestamp must not exceed the clock); this bound is
-materialized on the rule at construction time and is what the progressive
-check inspects.
+materialized on the rule at construction time and checked by matching
+and by ``apply_rule``.
 
 Guards are conjunctions of atoms ``L > R + N`` or ``L = R + N`` with a
 signed offset N. A ``>=`` written by the user denotes the disjunction of
@@ -33,6 +33,7 @@ from .terms import (
     Term,
     TimestampedFact,
     TmsrError,
+    UnboundVariableError,
     Var,
     ZERO,
     apply_subst,
@@ -72,29 +73,6 @@ class TimeConstraint:
         if self.offset < 0:
             return f"{self.left} {op} {self.right} - {-self.offset}"
         return f"{self.left} {op} {self.right}"
-
-
-def eval_constraint(c: TimeConstraint, s: Substitution | dict) -> bool:
-    """Arithmetic truth of the ground constraint under s."""
-    times = s._times() if isinstance(s, Substitution) else s
-    try:
-        left = times[c.left]
-        right = times[c.right]
-    except KeyError as exc:
-        raise UnboundTimeError(str(exc.args[0])) from None
-    if c.rel == GREATER:
-        return left > right + c.offset
-    if c.rel == EQUAL:
-        return left == right + c.offset
-    if c.rel == GE:
-        return left >= right + c.offset
-    raise RuleError(f"unknown relation {c.rel!r}")
-
-
-class UnboundTimeError(TmsrError):
-    def __init__(self, name: str):
-        super().__init__(f"time variable {name!r} is not bound")
-        self.name = name
 
 
 @dataclass(frozen=True, slots=True)
@@ -661,18 +639,19 @@ def apply_rule(
     clock = c.time
     if s.time(r.time_var) != clock:
         raise RuleError(f"rule {r.name!r}: clock binding does not match")
-    terms = s._terms()
-    times = s._times()
+    terms = dict(s.terms)
+    times = dict(s.times)
+    pre_checks, steps = r.plan
     # Instances of the precondition, listed per stamp and predicate: one
     # pass over c checks containment and drops the consumed occurrences.
     wanted: dict[tuple[int, str], list[Fact]] = {}
     dropped: dict[tuple[int, str], list[Fact]] = {}
     n_preserved = len(r.preserved)
-    for k, (pred, fact, ground, tvar, _, _, _) in enumerate(r.plan[1]):
+    for k, (pred, fact, ground, tvar, _, _, _) in enumerate(steps):
         inst = fact if ground else apply_subst(fact, terms)
         ts = times.get(tvar)
         if ts is None:
-            raise UnboundTimeError(tvar)
+            raise UnboundVariableError(tvar)
         wanted.setdefault((ts, pred), []).append(inst)
         if k >= n_preserved:
             dropped.setdefault((ts, pred), []).append(inst)
@@ -692,9 +671,9 @@ def apply_rule(
     for tv in r.past_bounds:
         if times[tv] > clock:
             raise RuleError(f"rule {r.name!r}: consumed fact stamped in the future")
-    for g in r.guard:
-        if not eval_constraint(g, times):
-            raise RuleError(f"rule {r.name!r}: guard {g.text()} fails")
+    if not (_holds(pre_checks, times) and all(_holds(st[6], times) for st in steps)):
+        guard = ", ".join(g.text() for g in r.guard)
+        raise RuleError(f"rule {r.name!r}: guard {guard} fails")
     created = []
     for cf in r.created:
         inst = apply_subst(cf.fact, terms)
@@ -734,80 +713,25 @@ def is_critical(
 # Static classification
 
 
-@dataclass(frozen=True)
-class RuleBalance:
-    name: str
-    consumed_total: int
-    created_total: int
-
-    @property
-    def balanced(self) -> bool:
-        return self.consumed_total == self.created_total
+def check_balanced(sys: System) -> list[str]:
+    """Names of the unbalanced rules, in rule order. The clock and preserved
+    facts sit on both sides, so a rule is balanced iff it creates as many
+    facts as it consumes."""
+    return [r.name for r in sys.rules if len(r.consumed) != len(r.created)]
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    per_rule: tuple[RuleBalance, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(rb.balanced for rb in self.per_rule)
-
-    def offenders(self) -> list[str]:
-        return [rb.name for rb in self.per_rule if not rb.balanced]
-
-
-def check_balanced(sys: System) -> BalanceReport:
-    """Per-rule verdicts. The clock and preserved facts sit on both sides,
-    so a rule is balanced iff it creates as many facts as it consumes."""
-    rows = []
-    for r in sys.rules:
-        base = 1 + len(r.preserved)
-        rows.append(
-            RuleBalance(r.name, base + len(r.consumed), base + len(r.created))
-        )
-    return BalanceReport(tuple(rows))
-
-
-@dataclass(frozen=True)
-class RuleProgress:
-    name: str
-    creates_future_fact: bool
-
-    @property
-    def progressive(self) -> bool:
-        return self.creates_future_fact
-
-
-@dataclass(frozen=True)
-class ProgressReport:
-    per_rule: tuple[RuleProgress, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(rp.progressive for rp in self.per_rule)
-
-    def offenders(self) -> list[str]:
-        return [rp.name for rp in self.per_rule if not rp.progressive]
-
-
-def check_progressive(sys: System) -> ProgressReport:
-    """Per-rule verdicts: at least one created fact strictly in the future.
-    The other half of the definition, every consumed fact bounded to the
-    past, holds by construction: ``Rule.past_bounds`` is built from
-    ``consumed``."""
-    balance = check_balanced(sys)
-    if not balance.ok:
+def check_progressive(sys: System) -> list[str]:
+    """Names of the rules creating no fact strictly in the future, in rule
+    order. The other half of the definition, every consumed fact bounded
+    to the past, holds by construction: ``Rule.past_bounds`` is built from
+    ``consumed``. Raises RuleError on an unbalanced system."""
+    unbalanced = check_balanced(sys)
+    if unbalanced:
         raise RuleError(
             "progressive check requires a balanced system; unbalanced rules: "
-            + ", ".join(balance.offenders())
+            + ", ".join(unbalanced)
         )
-    return ProgressReport(
-        tuple(
-            RuleProgress(r.name, any(cf.offset >= 1 for cf in r.created))
-            for r in sys.rules
-        )
-    )
+    return [r.name for r in sys.rules if not any(cf.offset >= 1 for cf in r.created)]
 
 
 def compute_dmax(

@@ -208,11 +208,10 @@ def _decide(
     budget: SearchBudget | None,
 ) -> Verdict:
     """The preamble the four procedures share, then the searches of ``mode``."""
-    progress = check_progressive(sys)
-    if not progress.ok:
+    offenders = check_progressive(sys)
+    if offenders:
         raise VerifierInputError(
-            "system is not progressive; offending rules: "
-            + ", ".join(progress.offenders())
+            "system is not progressive; offending rules: " + ", ".join(offenders)
         )
     if n is not None and n < 1:
         raise VerifierInputError("tick budget must be at least 1")
@@ -435,7 +434,7 @@ def _chain(parents, init, key) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Independent trace validation.
+# Trace validation.
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -310,17 +310,10 @@ class Configuration:
 @dataclass(frozen=True, slots=True)
 class Substitution:
     """Grounding substitution: time variables to naturals, term variables
-    to ground terms. Stored as sorted tuples so substitutions hash; the
-    lookup tables are built once, on first use."""
+    to ground terms. Stored as sorted tuples so substitutions hash."""
 
     times: tuple[tuple[str, int], ...] = ()
     terms: tuple[tuple[Var, Term], ...] = ()
-    _time_map: dict[str, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _term_map: dict[Var, Term] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def of(
@@ -331,29 +324,11 @@ class Substitution:
             tuple(sorted(terms.items(), key=lambda kv: (kv[0].name, kv[0].sort))),
         )
 
-    def _times(self) -> dict[str, int]:
-        """Shared lookup table; callers must not modify it."""
-        if self._time_map is None:
-            object.__setattr__(self, "_time_map", dict(self.times))
-        return self._time_map
-
-    def _terms(self) -> dict[Var, Term]:
-        """Shared lookup table; callers must not modify it."""
-        if self._term_map is None:
-            object.__setattr__(self, "_term_map", dict(self.terms))
-        return self._term_map
-
     def time(self, name: str) -> int:
-        try:
-            return self._times()[name]
-        except KeyError:
-            raise UnboundVariableError(name) from None
-
-    def term(self, v: Var) -> Term:
-        try:
-            return self._terms()[v]
-        except KeyError:
-            raise UnboundVariableError(v.name) from None
+        for var, ts in self.times:
+            if var == name:
+                return ts
+        raise UnboundVariableError(name)
 
 
 def subst_term(t: Term, terms: Mapping[Var, Term]) -> Term:
@@ -367,10 +342,9 @@ def subst_term(t: Term, terms: Mapping[Var, Term]) -> Term:
     return t
 
 
-def apply_subst(x: Fact | Term, s: Substitution | Mapping[Var, Term]) -> Fact | Term:
+def apply_subst(x: Fact | Term, terms: Mapping[Var, Term]) -> Fact | Term:
     """Homomorphic application; the result is ground. Raises
     UnboundVariableError naming the first uncovered variable."""
-    terms = s._terms() if isinstance(s, Substitution) else s
     if isinstance(x, Fact):
         return Fact(x.pred, tuple(subst_term(a, terms) for a in x.args))
     return subst_term(x, terms)

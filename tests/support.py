@@ -33,7 +33,6 @@ from tmsr import (
     apply_rule,
     apply_subst,
     enabled,
-    eval_constraint,
     expand_critical_pair,
     expand_rule,
     is_critical,
@@ -41,11 +40,21 @@ from tmsr import (
     make_system,
     tick,
 )
+from tmsr.rules import GREATER
 from tmsr.terms import TIME, fact_vars, term_text
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive matcher
+
+
+def guard_holds(guard, tmap) -> bool:
+    """Arithmetic truth of the atoms ``L > R + N`` / ``L = R + N`` under tmap."""
+    for c in guard:
+        left, right = tmap[c.left], tmap[c.right] + c.offset
+        if not (left > right if c.rel == GREATER else left == right):
+            return False
+    return True
 
 
 def ground_subterms(t):
@@ -82,7 +91,7 @@ def brute_force_matches(rule, config: Configuration) -> set[Substitution]:
             continue
         if any(tmap[tv] > config.time for tv in rule.past_bounds):
             continue
-        if not all(eval_constraint(c, tmap) for c in rule.guard):
+        if not guard_holds(rule.guard, tmap):
             continue
         for vvals in itertools.product(terms, repeat=len(vvars)):
             vmap = dict(zip(vvars, vvals))
@@ -145,7 +154,7 @@ def reference_matches(patterns, elements, tbind, past_tvars, clock, guard, first
 
     def walk(i):
         if i == len(patterns):
-            if all(eval_constraint(c, tbind) for c in guard):
+            if guard_holds(guard, tbind):
                 s = Substitution.of(tbind, vbind)
                 if s not in seen:
                     seen.add(s)

@@ -287,3 +287,50 @@ class TestGenAndReplay:
         capsys.readouterr()
         assert main(["replay", str(spec), str(rep)]) == 3
         assert "input error" in capsys.readouterr().err
+
+
+class TestMalformedInvocations:
+    MACHINES = {"array.json": "[1, 2]", "no-alphabet.json": '{"states": ["q0"], "space": 2}'}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "drone", "--points", "1", "--out", "{tmp}/d.spec"],
+            ["gen", "drone", "--grid", "2", "--out", "{tmp}/d.spec"],
+            ["gen", "drone", "--wind", "1,1", "--out", "{tmp}/d.spec"],
+            ["gen", "3sat", "--clauses", "a", "--out", "{tmp}/f.spec"],
+            ["gen", "3sat", "--clauses", "", "--out", "{tmp}/f.spec"],
+            ["gen", "tm", "--machine", "{tmp}/missing.json", "--out", "{tmp}/t.spec"],
+            ["gen", "tm", "--machine", "{tmp}/array.json", "--out", "{tmp}/t.spec"],
+            ["gen", "tm", "--machine", "{tmp}/no-alphabet.json", "--out", "{tmp}/t.spec"],
+            ["gen", "drone", "--out", "{tmp}/missing/d.spec"],
+            ["verify", "{spec}", "--mode", "realizability", "--ticks", "abc"],
+            ["verify", "{spec}", "--mode", "realizability", "--out", "{tmp}/missing/r.json"],
+        ],
+        ids=[
+            "points", "grid", "wind", "clauses-not-int", "clauses-empty",
+            "machine-missing", "machine-array", "machine-without-alphabet",
+            "gen-out-missing-dir", "ticks-not-int", "verify-out-missing-dir",
+        ],
+    )
+    def test_exits_3_with_one_line(self, tick_spec, tmp_path, capsys, argv):
+        for name, text in self.MACHINES.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.format(tmp=tmp_path, spec=tick_spec) for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "x.spec"], ["bogus"], ["gen", "drone"]], ids=str
+    )
+    def test_usage_errors_exit_3(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
