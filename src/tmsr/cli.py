@@ -12,7 +12,9 @@ nothing to certify), 3 input error, usage errors included.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .delta import count_bound
@@ -67,6 +69,22 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise TmsrError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise the error ``_write`` would raise for a path it cannot create
+    or overwrite, without creating or truncating it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), path)
+    raise TmsrError(f"cannot write {path}: {exc}")
 
 
 def _load_spec(path: str) -> tuple[SpecFile, str]:
@@ -127,6 +145,8 @@ def _cmd_verify(args) -> int:
             ticks = spec.ticks
         else:
             ticks = _int("--ticks", args.ticks)
+    if args.out:
+        _check_writable(args.out)
 
     if args.mode == REALIZABILITY:
         if ticks is None:

@@ -12,6 +12,7 @@ or walks off the tape window in a non-final state and idles).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,6 +37,10 @@ from ..terms import (
 
 MOVES = {"L": -1, "R": 1, "N": 0}
 
+# Names become parts of predicate and rule names joined by "_", so they
+# must be spec identifiers free of "_" for each compiled name to be unique.
+_NAME = re.compile(r"[A-Za-z0-9]+")
+
 
 class TmError(TmsrError):
     pass
@@ -57,10 +62,16 @@ class TmSpec:
             raise TmError("space bound must be at least 1")
         if not self.alphabet:
             raise TmError("empty tape alphabet")
+        for name in (*self.states, *self.final_states, *self.alphabet):
+            if not isinstance(name, str) or _NAME.fullmatch(name) is None:
+                raise TmError(f"state or symbol name {name!r} is not alphanumeric")
         if self.start_state is None:
             object.__setattr__(self, "start_state", self.states[0])
         if self.start_state not in self.states:
             raise TmError(f"unknown start state {self.start_state!r}")
+        unknown = self.final_states - set(self.states)
+        if unknown:
+            raise TmError(f"unknown final state {min(unknown)!r}")
         if len(self.input_word) > self.space:
             raise TmError("input word longer than the space bound")
         for sym in self.input_word:

@@ -5,7 +5,7 @@ and a breadth-first search for a critical state. Both explore concrete
 configurations from the initial one, so witnesses and counterexamples are
 concrete traces. Unbounded modes key their visited sets on the normal
 member of each configuration's class in the truncated-difference
-quotient (``delta.normalize``), which is finite for balanced systems and
+quotient (``delta.abstract``), which is finite for balanced systems and
 bisimilar to the concrete graph. Bounded modes key them on
 (configuration, ticks) and cut traces exactly at the n-th clock advance.
 
@@ -33,7 +33,7 @@ import time as _time
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .delta import abstract, count_bound, normalize
+from .delta import abstract, count_bound
 from .rules import (
     CriticalSpec,
     Rule,
@@ -100,7 +100,7 @@ class Trace:
 class Lasso:
     """Finite witness of an infinite compliant trace: a stem into a cycle
     of the quotient graph. The cycle's endpoints are equivalent (equal
-    abstractions), not necessarily equal configurations."""
+    normal members), not necessarily equal configurations."""
 
     stem: Trace
     cycle: Trace
@@ -186,8 +186,8 @@ class _Clock:
 class _Search:
     """What the searches of one verdict share. ``key`` maps a configuration
     and its tick count to the visited-set key: the normal member of its
-    quotient class when unbounded (``n`` is None), the pair itself under a
-    tick budget."""
+    quotient class (``abstract``) when unbounded (``n`` is None), the pair
+    itself under a tick budget."""
 
     sys: System
     init: Configuration
@@ -242,7 +242,7 @@ def _decide(
         )
 
     if n is None:
-        key = lambda config, ticks: normalize(config, dmax)
+        key = lambda config, ticks: abstract(config, dmax)
         no_run = "no compliant cycle reachable"
     else:
         key = lambda config, ticks: (config, ticks)
@@ -347,11 +347,10 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
             if entry is False or entry[6] >= len(stack) or stack[entry[6]] is not entry:
                 continue  # critical, or explored to the end
             _check_run(top[4], label, m)
-            if n is not None:
-                _violate("instantaneous_run", "configuration repeats between clock advances")
             # Cycle closed: stem up to the entry of the key, cycle from there.
             at = entry[6]
             cycle = _steps(stack[at + 1 :] + [step])
+            # Bounded keys carry the tick count, so any repeat there lands here.
             if not any(st.label == TICK_LABEL for st in cycle):
                 _violate("instantaneous_run", "witness cycle contains no clock advance")
             stem = Trace(init, _steps(stack[1 : at + 1]))
@@ -493,16 +492,14 @@ def validate_trace(
                 return ValidationResult(False, i, f"unknown rule {step.label!r}")
             if step.subst is None:
                 return ValidationResult(False, i, "missing substitution")
-            replayed = None
             for r in candidates:
                 try:
-                    got = apply_rule(r, current, step.subst, sys.max_fact_size)
+                    replayed = apply_rule(r, current, step.subst, sys.max_fact_size)
                 except TmsrError:
                     continue
-                if got == step.config:
-                    replayed = got
+                if replayed == step.config:
                     break
-            if replayed is None:
+            else:
                 return ValidationResult(
                     False, i, f"step does not replay under rule {step.label!r}"
                 )

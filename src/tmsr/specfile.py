@@ -491,25 +491,31 @@ class SpecParser:
             i += 2
         return TimeConstraint(rel, left, right, offset), i
 
+    def _parse_patterns(
+        self, cur: _Cursor, i: int, vars_seen: dict[str, str]
+    ) -> tuple[list[tuple[Fact, str]], int]:
+        """The ``fact@T, ...`` list from token ``i`` on, as (fact, time
+        variable) pairs, and the index after it."""
+        toks = cur.toks
+        out = []
+        while True:
+            f, i = self._parse_fact(cur, i, vars_seen)
+            if toks[i] != "@":
+                raise cur.expected(i, repr("@"))
+            out.append((f, self._parse_tvar(cur, i + 1)))
+            i += 2
+            if toks[i] != ",":
+                return out, i
+            i += 1
+
     def _parse_rule(self, line: int, text: str) -> tuple[Rule, ...]:
         cur = _Cursor(text, line, 1)
         toks = cur.toks
         name = cur.expect(1, "string").strip('"')
         if toks[2] != ":":
             raise cur.expected(2, repr(":"))
-        i = 3
         vars_seen: dict[str, str] = {}
-
-        lhs: list[tuple[Fact, str]] = []
-        while True:
-            f, i = self._parse_fact(cur, i, vars_seen)
-            if toks[i] != "@":
-                raise cur.expected(i, repr("@"))
-            lhs.append((f, self._parse_tvar(cur, i + 1)))
-            i += 2
-            if toks[i] != ",":
-                break
-            i += 1
+        lhs, i = self._parse_patterns(cur, 3, vars_seen)
         guard: list[TimeConstraint] = []
         if toks[i] == "|":
             i += 1
@@ -644,17 +650,8 @@ class SpecParser:
         name = cur.expect(1, "string").strip('"')
         cur.expect(2, ":")
         cur.expect(3, "{")
-        i = 4
-        vars_seen: dict[str, str] = {}
-        patterns: list[RulePattern] = []
-        while True:
-            f, i = self._parse_fact(cur, i, vars_seen)
-            cur.expect(i, "@")
-            patterns.append(RulePattern(f, self._parse_tvar(cur, i + 1)))
-            i += 2
-            if toks[i] != ",":
-                break
-            i += 1
+        pairs, i = self._parse_patterns(cur, 4, {})
+        patterns = [RulePattern(f, tv) for f, tv in pairs]
         guard: list[TimeConstraint] = []
         if toks[i] == "|":
             i += 1
@@ -734,10 +731,6 @@ def parse_term_text(sig_or_spec, text: str, expected: str, line: int = 1) -> Ter
 # Printer
 
 
-def _constraint_text(c: TimeConstraint) -> str:
-    return c.text()
-
-
 def _rule_text(r: Rule) -> str:
     lhs = [f"{TIME}@{r.time_var}"]
     lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in r.preserved]
@@ -751,14 +744,14 @@ def _rule_text(r: Rule) -> str:
             rhs.append(f"{fact_text(cf.fact)}@({r.time_var}+{cf.offset})")
     guard = ""
     if r.guard:
-        guard = " | " + ", ".join(_constraint_text(c) for c in r.guard)
+        guard = " | " + ", ".join(c.text() for c in r.guard)
     return f'rule "{r.name}": {", ".join(lhs)}{guard} -> {", ".join(rhs)}'
 
 
 def _critical_text(p: CriticalPair) -> str:
     pats = ", ".join(f"{fact_text(q.fact)}@{q.tvar}" for q in p.patterns)
     if p.guard:
-        guard = " | " + ", ".join(_constraint_text(c) for c in p.guard)
+        guard = " | " + ", ".join(c.text() for c in p.guard)
     else:
         guard = ""
     return f'critical "{p.name}": {{ {pats}{guard} }}'

@@ -11,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import tmsr.cli  # noqa: F401  (imports every module the namespace holds)
+from tmsr import parse_spec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -51,3 +52,18 @@ def test_tracer_installs_on_every_name_and_restores_it():
         tracer.uninstall()
     for mod, attr, original in saved:
         assert getattr(mod, attr) is original, f"{mod.__name__}.{attr}"
+
+
+def test_unbounded_search_records_the_key_layer():
+    """The unbounded searches key their visited sets through
+    ``tmsr.search.abstract``, so the tracer's ``delta.abstract`` layer
+    sees every key."""
+    spec = parse_spec("tmsr-spec 1\ninit: Time@0\nparams: k=1\n")
+    m = tmsr_namespace()
+    tracer = load_tracing().Tracer()
+    tracer.install(m)
+    try:
+        m.search.survivability(spec.system, spec.init, spec.critical)
+    finally:
+        tracer.uninstall()
+    assert any(span[0] == "delta.abstract" for span in tracer.spans)

@@ -322,6 +322,43 @@ class TestMalformedInvocations:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "machine",
+        [
+            # The space makes the spec unreadable: "trailing input '0'".
+            {"states": ["q 0", "qa"], "start": "q 0",
+             "instructions": [["q 0", "0", "qa", "1", "R"]]},
+            # (a_b, c) and (a, b_c) would both compile to "a_b_c".
+            {"states": ["a", "a_b", "qa"], "alphabet": ["c", "b_c"],
+             "instructions": [["a_b", "c", "qa", "c", "N"], ["a", "b_c", "qa", "c", "N"]]},
+            # Its halting pattern would name an undeclared predicate.
+            {"states": ["q0"], "instructions": [["q0", "0", "q0", "1", "R"]]},
+        ],
+        ids=["space-in-state", "underscored-names-collide", "final-state-not-a-state"],
+    )
+    def test_gen_tm_rejects_unreadable_machines(self, tmp_path, capsys, machine):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps({"final": ["qa"], "alphabet": ["0", "1"], "space": 1} | machine)
+        )
+        out = tmp_path / "t.spec"
+        assert main(["gen", "tm", "--machine", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_verify_checks_out_before_searching(self, tick_spec, tmp_path, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a decision procedure ran")
+
+        monkeypatch.setattr("tmsr.cli.realizability", no_search)
+        out = tmp_path / "missing" / "r.json"
+        argv = ["verify", str(tick_spec), "--mode", "realizability", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
         "argv", [["verify", "x.spec"], ["bogus"], ["gen", "drone"]], ids=str
     )
     def test_usage_errors_exit_3(self, argv, capsys):

@@ -1,8 +1,8 @@
-import math
 import random
 
 import pytest
 
+from support import normalize as reference_normalize
 from support import random_progressive_system
 
 from tmsr import (
@@ -11,7 +11,6 @@ from tmsr import (
     CriticalPair,
     CriticalSpec,
     Fact,
-    INFINITY,
     RulePattern,
     TimeConstraint,
     TimestampedFact,
@@ -20,16 +19,18 @@ from tmsr import (
     enabled,
     is_critical,
     lazy_successors,
-    normalize,
-    representative,
 )
-from tmsr.delta import DeltaConfig
 from tmsr.rules import GREATER
 from tmsr.terms import TIME, fact_text
 
 
 def ts(fact, t):
     return TimestampedFact(fact, t)
+
+
+def gaps(c):
+    seq = c.facts
+    return tuple(b.ts - a.ts for a, b in zip(seq, seq[1:]))
 
 
 TWO_DRONE_CONFIG = Configuration(
@@ -45,26 +46,24 @@ TWO_DRONE_CONFIG = Configuration(
 
 class TestAbstract:
     def test_wide_bound_keeps_gaps(self):
-        d = abstract(TWO_DRONE_CONFIG, 4)
-        assert [fact_text(f) for f in d.facts] == [
+        c = abstract(TWO_DRONE_CONFIG, 4)
+        assert [fact_text(tf.fact) for tf in c.facts] == [
             "P(p2,5,6)", "P(p1,1,1)", "Dr(d1,1,2,10)", "Dr(d2,5,5,8)", "Time",
         ]
-        assert d.gaps == (3, 1, 0, 0)
+        assert c.facts[0].ts == 0 and gaps(c) == (3, 1, 0, 0)
 
     def test_tight_bound_truncates(self):
-        d = abstract(TWO_DRONE_CONFIG, 1)
-        assert d.gaps[0] == INFINITY
-        assert d.gaps[1:] == (1, 0, 0)
+        c = abstract(TWO_DRONE_CONFIG, 1)
+        assert c.facts[0].ts == 0
+        assert gaps(c) == (2, 1, 0, 0)
 
     def test_singleton_has_no_gaps(self):
-        d = abstract(Configuration((ts(Fact("Time"), 0),)), 3)
-        assert d.facts == (Fact("Time"),) and d.gaps == ()
+        c = abstract(Configuration((ts(Fact("Time"), 0),)), 3)
+        assert [tf.fact for tf in c.facts] == [Fact("Time")] and gaps(c) == ()
 
     def test_bound_below_one_rejected(self):
         with pytest.raises(ValueError):
             abstract(TWO_DRONE_CONFIG, 0)
-        with pytest.raises(ValueError):
-            normalize(TWO_DRONE_CONFIG, 0)
 
     def test_equal_abstraction_iff_equivalent(self):
         shifted = Configuration(
@@ -105,72 +104,57 @@ def random_configs():
 
 
 class TestRepresentative:
+    """The normal member stands for its class: earliest stamp 0, every
+    gap above the bound exactly one more than the bound."""
+
     def test_singleton(self):
-        d = abstract(Configuration((ts(Fact("Time"), 0),)), 2)
-        assert representative(d) == Configuration((ts(Fact("Time"), 0),))
+        c = abstract(Configuration((ts(Fact("Time"), 5),)), 2)
+        assert c == Configuration((ts(Fact("Time"), 0),))
 
     def test_infinite_gap_reconstructs_just_past_bound(self):
-        d = DeltaConfig((Fact("P"), Fact("Time")), (INFINITY,), 1)
-        assert representative(d) == Configuration(
+        c = Configuration((ts(Fact("P"), 3), ts(Fact("Time"), 12)))
+        assert abstract(c, 1) == Configuration(
             (ts(Fact("P"), 0), ts(Fact("Time"), 2))
         )
 
-    def test_round_trip_gaps(self):
-        d = abstract(TWO_DRONE_CONFIG, 4)
-        again = abstract(representative(d), 4)
-        assert again.gaps == (3, 1, 0, 0) and again == d
+    def test_drone_configuration_agrees_with_reference(self):
+        for dmax in range(1, 6):
+            want = reference_normalize(TWO_DRONE_CONFIG, dmax)
+            assert abstract(TWO_DRONE_CONFIG, dmax) == want
 
-    def test_random_round_trips(self):
+    def test_agrees_with_reference(self):
         for config, dmax in random_configs():
-            d = abstract(config, dmax)
-            assert abstract(representative(d), dmax) == d
-
-    def test_gap_validation(self):
-        with pytest.raises(ValueError):
-            DeltaConfig((Fact("Time"), Fact("A")), (5,), 2)
-        with pytest.raises(ValueError):
-            DeltaConfig((Fact("Time"),), (0,), 2)
-
-    def test_tie_order_validated(self):
-        with pytest.raises(ValueError):
-            DeltaConfig((Fact("Time"), Fact("A")), (0,), 2)
-        DeltaConfig((Fact("A"), Fact("Time")), (0,), 2)
-        DeltaConfig((Fact("Time"), Fact("A")), (1,), 2)
+            assert abstract(config, dmax) == reference_normalize(config, dmax)
 
     def test_abstraction_inverts_reconstruction(self):
-        # Random gap sequences realized as stamps, so every generated
-        # abstraction is valid by construction.
+        # Random gap sequences realized as stamps, every gap above the
+        # bound by a random amount; the normal member recovers the gaps
+        # with each of those at exactly dmax + 1.
         rng = random.Random(123)
         others = [Fact("A"), Fact("B"), Fact("C", (1,))]
         for _ in range(300):
             dmax = rng.randint(1, 4)
             facts = [Fact("Time")] + rng.sample(others, rng.randint(0, 3))
-            gaps = [
-                rng.choice([INFINITY] + list(range(dmax + 1)))
-                for _ in range(len(facts) - 1)
-            ]
-            stamps = [0]
-            for g in gaps:
-                step = dmax + 1 if math.isinf(g) else int(g)
+            want = [rng.randint(0, dmax + 1) for _ in range(len(facts) - 1)]
+            stamps = [rng.randint(0, 9)]
+            for g in want:
+                step = g + rng.randint(0, 5) if g > dmax else g
                 stamps.append(stamps[-1] + step)
             config = Configuration(tuple(ts(f, s) for f, s in zip(facts, stamps)))
-            d = abstract(config, dmax)
-            assert abstract(representative(d), dmax) == d
+            c = abstract(config, dmax)
+            assert c == reference_normalize(config, dmax)
+            assert c.facts[0].ts == 0 and gaps(c) == tuple(want)
 
 
 class TestNormalize:
-    def test_equals_representative_of_abstraction(self):
-        for config, dmax in random_configs():
-            assert normalize(config, dmax) == representative(abstract(config, dmax))
-
     def test_idempotent_and_identity_on_normal_configurations(self):
         for config, dmax in random_configs():
-            normal = normalize(config, dmax)
-            assert normalize(normal, dmax) is normal
+            normal = abstract(config, dmax)
+            assert abstract(normal, dmax) is normal
 
 
 def normal_successors(sysm, c, dmax=2):
-    return {normalize(child, dmax) for _, _, child in lazy_successors(sysm, c)}
+    return {abstract(child, dmax) for _, _, child in lazy_successors(sysm, c)}
 
 
 class TestDeltaStep:
@@ -179,7 +163,7 @@ class TestDeltaStep:
     def test_tick_when_nothing_enabled(self):
         rng = random.Random(3)
         sysm, init, cs = random_progressive_system(rng)
-        c = normalize(init, 2)
+        c = abstract(init, 2)
         succs = lazy_successors(sysm, c)
         if not enabled(sysm, c):
             assert len(succs) == 1
@@ -192,7 +176,7 @@ class TestDeltaStep:
         c = Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 0)))
         ((label, _, nxt),) = lazy_successors(sysm, c)
         assert label == "tick"
-        assert normalize(nxt, 2) == Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 1)))
+        assert abstract(nxt, 2) == Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 1)))
         # Past the bound the clock gap stays in its class.
         c = Configuration((ts(Fact("P"), 0), ts(Fact("Time"), 3)))
         assert normal_successors(sysm, c) == {c}
@@ -201,7 +185,7 @@ class TestDeltaStep:
         rng = random.Random(13)
         for _ in range(60):
             sysm, init, cs = random_progressive_system(rng)
-            c = normalize(init, 2)
+            c = abstract(init, 2)
             pairs = enabled(sysm, c)
             succs = lazy_successors(sysm, c)
             if pairs:
@@ -216,7 +200,7 @@ class TestDeltaStep:
             shifted = Configuration(
                 tuple(ts(tf.fact, tf.ts + 5) for tf in init.facts)
             )
-            assert normalize(init, 2) == normalize(shifted, 2)
+            assert abstract(init, 2) == abstract(shifted, 2)
             assert normal_successors(sysm, init) == normal_successors(sysm, shifted)
 
 
@@ -237,7 +221,7 @@ class TestDeltaCritical:
         config = Configuration(
             (ts(Fact("Time"), 2), ts(Fact("Dr", (Const("d1"), 0, 0, 0)), 1))
         )
-        assert is_critical(cs, normalize(config, 2)) is not None
+        assert is_critical(cs, abstract(config, 2)) is not None
 
     @staticmethod
     def stale_spec(bound):
@@ -261,14 +245,14 @@ class TestDeltaCritical:
         )
 
     def test_infinite_gap_is_stale(self):
-        c = normalize(self.aged(10), 2)
+        c = abstract(self.aged(10), 2)
         assert c == Configuration(
             (ts(Fact("P", (Const("p1"), 1, 1)), 0), ts(Fact("Time"), 3))
         )
         assert is_critical(self.stale_spec(2), c) is not None
 
     def test_gap_at_bound_is_fresh_enough(self):
-        c = normalize(self.aged(2), 2)
+        c = abstract(self.aged(2), 2)
         assert is_critical(self.stale_spec(2), c) is None
 
     def test_matches_concrete_verdict_on_random_systems(self):
@@ -281,7 +265,7 @@ class TestDeltaCritical:
             )
             for c in (init, stretched):
                 want = is_critical(cs, c) is not None
-                assert (is_critical(cs, normalize(c, 2)) is not None) == want
+                assert (is_critical(cs, abstract(c, 2)) is not None) == want
 
 
 class TestCountBound:
@@ -313,12 +297,9 @@ class TestCountBound:
 
 class TestSerialization:
     def test_text_form_is_stable_and_hash_friendly(self):
-        d = abstract(TWO_DRONE_CONFIG, 1)
-        assert hash(d) == hash(abstract(TWO_DRONE_CONFIG, 1))
-        assert d in {abstract(TWO_DRONE_CONFIG, 1)}
-        c = normalize(TWO_DRONE_CONFIG, 1)
+        c = abstract(TWO_DRONE_CONFIG, 1)
         assert c.text() == (
             "P(p2,5,6)@0, P(p1,1,1)@2, Dr(d1,1,2,10)@3, Dr(d2,5,5,8)@3, Time@3"
         )
-        assert hash(c) == hash(normalize(TWO_DRONE_CONFIG, 1))
-        assert c in {normalize(TWO_DRONE_CONFIG, 1)}
+        assert hash(c) == hash(abstract(TWO_DRONE_CONFIG, 1))
+        assert c in {abstract(TWO_DRONE_CONFIG, 1)}
