@@ -15,6 +15,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 
 from .delta import count_bound
@@ -75,14 +76,21 @@ def _check_writable(path: str) -> None:
     """Raise the error ``_write`` would raise for a path it cannot create
     or overwrite, without creating or truncating it."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
-        code = errno.EACCES
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
+    except OSError as exc:
+        # What open meets on the way: ENOENT for a missing component,
+        # ENOTDIR for one that is not a directory.
+        code = exc.errno
     else:
-        return
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not parent_is_dir:
+            code = errno.ENOTDIR
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
     exc = OSError(code, os.strerror(code), path)
     raise TmsrError(f"cannot write {path}: {exc}")
 
@@ -201,14 +209,18 @@ def _load_machine(path: str) -> TmSpec:
         word = m.get("input", [])
         if isinstance(word, str):
             word = list(word)
+        instructions = {}
+        for q, sym, q2, sym2, move in m["instructions"]:
+            if (q, sym) in instructions:
+                raise TmsrError(
+                    f"{path}: two instructions for state {q!r} reading {sym!r}"
+                )
+            instructions[q, sym] = (q2, sym2, move)
         return TmSpec(
             states=tuple(m["states"]),
             final_states=frozenset(m.get("final", [])),
             alphabet=tuple(m["alphabet"]),
-            instructions={
-                (q, sym): (q2, sym2, move)
-                for q, sym, q2, sym2, move in m["instructions"]
-            },
+            instructions=instructions,
             space=int(m["space"]),
             input_word=tuple(word),
             start_state=m.get("start"),
@@ -276,8 +288,12 @@ def _artifact_mismatch(parsed) -> str | None:
 
 
 def _cmd_replay(args) -> int:
-    spec, _ = _load_spec(args.spec)
+    spec, text = _load_spec(args.spec)
     parsed = parse_report(_read(args.report), spec)
+
+    if parsed.digest and parsed.digest != input_digest(text):
+        print("trace INVALID: the report's input digest is not that of the spec")
+        return EXIT_FAILS
 
     first = parsed.lasso.stem if parsed.lasso is not None else parsed.trace
     if first is None:

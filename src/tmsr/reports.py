@@ -131,6 +131,7 @@ class ParsedReport:
     ticks: int | None
     trace: Trace | None
     lasso: Lasso | None
+    digest: str  # the input digest; empty when the report has none
 
 
 _JSON_TYPES = {
@@ -226,6 +227,7 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
     ticks = obj.get("ticks")
     if ticks is not None:
         _require(ticks, int, "field 'ticks' of the report")
+    digest = _require(obj.get("input_digest", ""), str, "field 'input_digest' of the report")
     trace = None
     lasso = None
     reader = _ReportReader(spec)
@@ -241,4 +243,4 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
             trace = Trace(init, reader.steps(_field(obj, "trace", list, "the report")))
     except TmsrError as exc:
         raise ReportError(f"malformed trace: {exc}") from None
-    return ParsedReport(mode, outcome, ticks, trace, lasso)
+    return ParsedReport(mode, outcome, ticks, trace, lasso, digest)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .terms import (
     App,
@@ -113,7 +113,7 @@ class Rule:
                     f"rule {self.name!r}: guard relation {c.rel!r} must be "
                     "expanded before rule construction"
                 )
-        bound = self.bound_time_vars()
+        bound = {self.time_var, *(p.tvar for p in self.patterns)}
         for c in self.guard:
             for v in (c.left, c.right):
                 if v not in bound:
@@ -124,24 +124,15 @@ class Rule:
         for cf in self.created:
             if cf.offset < 0:
                 raise RuleError(f"rule {self.name!r}: negative creation offset")
-        bound_term_vars = set(self.bound_term_vars())
-        for cf in self.created:
-            for v in fact_vars(cf.fact):
-                if v not in bound_term_vars:
+        created_vars = [v for cf in self.created for v in fact_vars(cf.fact)]
+        if created_vars:
+            bound_vars = {v for p in self.patterns for v in fact_vars(p.fact)}
+            for v in created_vars:
+                if v not in bound_vars:
                     raise RuleError(
                         f"rule {self.name!r}: created fact uses unbound "
                         f"variable {v.name!r}"
                     )
-
-    def bound_time_vars(self) -> set[str]:
-        out = {self.time_var}
-        for p in self.preserved + self.consumed:
-            out.add(p.tvar)
-        return out
-
-    def bound_term_vars(self) -> Iterator[Var]:
-        for p in self.preserved + self.consumed:
-            yield from fact_vars(p.fact)
 
     @property
     def patterns(self) -> tuple[RulePattern, ...]:
@@ -267,25 +258,30 @@ class System:
     rules: tuple[Rule, ...]
     max_fact_size: int
     dmax_override: int | None = None
-    index: "_RuleIndex" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # Each distinct fact is checked once, at its first occurrence, which
+        # is where a failing check would first have raised.
+        checked: set[Fact] = set()
         for r in self.rules:
-            for p in r.patterns:
-                check_fact(self.signature, p.fact)
-                if fact_size(p.fact) > self.max_fact_size:
+            facts = [(p.fact, "pattern") for p in r.patterns]
+            facts += [(cf.fact, "created pattern") for cf in r.created]
+            for f, what in facts:
+                if f in checked:
+                    continue
+                checked.add(f)
+                check_fact(self.signature, f)
+                if fact_size(f) > self.max_fact_size:
                     raise RuleError(
-                        f"rule {r.name!r}: pattern {fact_text(p.fact)} exceeds "
+                        f"rule {r.name!r}: {what} {fact_text(f)} exceeds "
                         f"the declared fact-size bound {self.max_fact_size}"
                     )
-            for cf in r.created:
-                check_fact(self.signature, cf.fact)
-                if fact_size(cf.fact) > self.max_fact_size:
-                    raise RuleError(
-                        f"rule {r.name!r}: created pattern {fact_text(cf.fact)} "
-                        f"exceeds the declared fact-size bound {self.max_fact_size}"
-                    )
-        object.__setattr__(self, "index", _build_index(self.rules))
+
+    @cached_property
+    def index(self) -> _RuleIndex:
+        """The rule index (see Matching below), built on first use:
+        generators that only print a spec never match."""
+        return _build_index(self.rules)
 
 
 def default_fact_size_bound(
@@ -542,66 +538,112 @@ def _walk(
 
 
 def match_rule(
-    r: Rule, c: Configuration, first_only: bool = False
+    r: Rule,
+    c: Configuration,
+    first_only: bool = False,
+    *,
+    clock: int | None = None,
+    groups: dict[str, list[int]] | None = None,
 ) -> list[Substitution]:
     """All grounding substitutions making the rule's precondition a
-    sub-multiset of c with the guard and past-only bounds satisfied."""
-    clock = c.time
+    sub-multiset of c with the guard and past-only bounds satisfied.
+    ``clock`` and ``groups``, when given, are c's time and ``_by_pred``
+    groups, computed once by a caller that matches many rules against c."""
+    if clock is None:
+        clock = c.time
     elements = c.facts
-    return _run_plan(
-        r.plan, elements, _by_pred(elements), {r.time_var: clock}, clock, first_only
-    )
+    if groups is None:
+        groups = _by_pred(elements)
+    return _run_plan(r.plan, elements, groups, {r.time_var: clock}, clock, first_only)
 
 
 class _RuleIndex(NamedTuple):
-    """Rule positions keyed by their most selective ground pattern fact:
-    the one the fewest rules share. Rules without a ground pattern are
-    listed with the predicates a configuration must hold for them."""
+    """Necessary conditions of the rules, checked before any match.
 
-    fact_ids: dict[Fact, int]
-    keyed: tuple[tuple[int, ...], ...]
+    A key is a ground pattern fact, or such a fact with its age (clock
+    minus stamp) when the rule's guard pins that age. A rule is listed
+    under its most selective key, the one the fewest rules share, together
+    with its other keys. ``by_fact`` gives, per fact, the id of its plain
+    key (-1 if none) and the ids of its keys per age. Rules without a
+    ground pattern are listed with the predicates a configuration must
+    hold for them."""
+
+    by_fact: dict[Fact, tuple[int, dict[int, int]]]
+    keyed: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     unkeyed: tuple[tuple[int, frozenset[str]], ...]
 
 
+def _pinned_ages(r: Rule) -> dict[str, int]:
+    """The time variables whose age the guard pins: the clock variable
+    (age 0) and each Tp in an atom T = Tp + k (age k) or Tp = T + k
+    (age -k), where T is the clock variable."""
+    ages = {r.time_var: 0}
+    for c in r.guard:
+        if c.rel == EQUAL:
+            if c.left == r.time_var:
+                ages.setdefault(c.right, c.offset)
+            elif c.right == r.time_var:
+                ages.setdefault(c.left, -c.offset)
+    return ages
+
+
 def _build_index(rules: Sequence[Rule]) -> _RuleIndex:
-    ids_of: dict[Fact, int] = {}  # pattern fact -> id when ground, else -1
-    shared: list[int] = []  # fact id -> number of rules with that pattern
+    # Per pattern fact: key ids by age (None for the plain key), or None
+    # when the fact is not ground.
+    keys_of: dict[Fact, dict[int | None, int] | None] = {}
     per_rule = []
+    shared: list[int] = []  # key id -> number of rules with that key
     for r in rules:
-        ids = set()
+        ages = _pinned_ages(r)
+        keys = set()
         for p in r.patterns:
-            k = ids_of.get(p.fact)
-            if k is None:
-                k = len(shared) if _normal_ground_args(p.fact.args) else -1
-                ids_of[p.fact] = k
-                if k >= 0:
+            got = keys_of.get(p.fact, False)
+            if got is False:
+                got = keys_of[p.fact] = {} if _normal_ground_args(p.fact.args) else None
+            if got is not None:
+                age = ages.get(p.tvar)
+                k = got.get(age)
+                if k is None:
+                    k = got[age] = len(shared)
                     shared.append(0)
-            if k >= 0:
-                ids.add(k)
-        for k in ids:
+                keys.add(k)
+        for k in keys:
             shared[k] += 1
-        per_rule.append(ids)
-    keyed: list[list[int]] = [[] for _ in shared]
+        per_rule.append(keys)
+    keyed: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in shared]
     unkeyed = []
-    for i, ids in enumerate(per_rule):
-        if ids:
-            keyed[min(ids, key=shared.__getitem__)].append(i)
+    for i, keys in enumerate(per_rule):
+        if keys:
+            best = min(keys, key=shared.__getitem__)
+            keyed[best].append((i, tuple(keys - {best})))
         else:
             unkeyed.append((i, frozenset(p.fact.pred for p in rules[i].patterns)))
-    fact_ids = {f: k for f, k in ids_of.items() if k >= 0}
-    return _RuleIndex(fact_ids, tuple(map(tuple, keyed)), tuple(unkeyed))
+    by_fact = {f: (ids.pop(None, -1), ids) for f, ids in keys_of.items() if ids is not None}
+    return _RuleIndex(by_fact, tuple(map(tuple, keyed)), tuple(unkeyed))
 
 
-def _candidates(sys: System, c: Configuration) -> list[int]:
-    """Positions of the rules that may match c, in declaration order."""
-    fact_ids, keyed, unkeyed = sys.index
+def _candidates(sys: System, c: Configuration, clock: int) -> list[int]:
+    """Positions of the rules that may match c, in declaration order: those
+    whose keys are all among c's facts and (fact, age) pairs."""
+    by_fact, keyed, unkeyed = sys.index
+    present = set()
+    for tf in c.facts:
+        got = by_fact.get(tf.fact)
+        if got is not None:
+            plain, aged = got
+            if plain >= 0:
+                present.add(plain)
+            k = aged.get(clock - tf.ts)
+            if k is not None:
+                present.add(k)
     pos = []
     if unkeyed:
         preds = {tf.fact.pred for tf in c.facts}
         pos = [i for i, need in unkeyed if need <= preds]
-    for k in {fact_ids.get(tf.fact) for tf in c.facts}:
-        if k is not None:
-            pos.extend(keyed[k])
+    for k in present:
+        for i, others in keyed[k]:
+            if present.issuperset(others):
+                pos.append(i)
     pos.sort()
     return pos
 
@@ -610,10 +652,12 @@ def enabled(sys: System, c: Configuration) -> list[tuple[Rule, Substitution]]:
     """Applicable (rule, substitution) pairs of instantaneous rules, in
     rule declaration order, then match enumeration order."""
     rules = sys.rules
+    clock = c.time
+    groups = _by_pred(c.facts)
     out: list[tuple[Rule, Substitution]] = []
-    for i in _candidates(sys, c):
+    for i in _candidates(sys, c, clock):
         r = rules[i]
-        for s in match_rule(r, c):
+        for s in match_rule(r, c, clock=clock, groups=groups):
             out.append((r, s))
     return out
 
@@ -621,8 +665,10 @@ def enabled(sys: System, c: Configuration) -> list[tuple[Rule, Substitution]]:
 def must_tick(sys: System, c: Configuration) -> bool:
     """True iff no instantaneous rule applies, so the clock must advance."""
     rules = sys.rules
-    for i in _candidates(sys, c):
-        if match_rule(rules[i], c, first_only=True):
+    clock = c.time
+    groups = _by_pred(c.facts)
+    for i in _candidates(sys, c, clock):
+        if match_rule(rules[i], c, first_only=True, clock=clock, groups=groups):
             return False
     return True
 

@@ -156,9 +156,8 @@ class _Cursor:
     __slots__ = ("toks", "n", "line", "text", "start")
 
     def __init__(self, text: str, line: int, start: int = 0):
-        self.toks = _TOKEN_RE.findall(text)
-        self.n = len(self.toks)
-        self.toks.append(_EOL)
+        self.toks = (*_TOKEN_RE.findall(text), _EOL)
+        self.n = len(self.toks) - 1
         self.line = line
         self.text = text
         self.start = start
@@ -208,6 +207,8 @@ class SpecParser:
         self.params: dict[str, int] = {}
         self.params_line: int | None = None
         self.sig: Signature | None = None
+        # Flat ground facts by the tokens that spell them; see _parse_fact.
+        self.flat_facts: dict[tuple[str, ...], Fact] = {}
 
     @classmethod
     def for_signature(cls, sig_or_spec) -> "SpecParser":
@@ -427,6 +428,14 @@ class SpecParser:
         argsorts = () if name == TIME else self.preds.get(name)
         if argsorts is None:
             raise cur.error("sort", f"undeclared predicate {name!r}", i)
+        # A flat fact, one token per argument, spans 2 * arity + 2 tokens.
+        # Once such tokens have parsed to a ground fact, the same tokens
+        # parse to that same fact again: their parse reads no variable.
+        end = i + 2 * len(argsorts) + 2
+        key = toks[i:end]
+        fact = self.flat_facts.get(key)
+        if fact is not None:
+            return fact, end
         start = i
         i += 1
         args: list[Term] = []
@@ -458,7 +467,10 @@ class SpecParser:
                 f"predicate {name!r} takes {len(argsorts)} arguments, found {len(args)}",
                 start,
             )
-        return Fact(name, tuple(args)), i
+        fact = Fact(name, tuple(args))
+        if i == end and not any(isinstance(a, Var) for a in args):
+            self.flat_facts[key] = fact
+        return fact, i
 
     @staticmethod
     def _parse_tvar(cur: _Cursor, i: int) -> str:

@@ -108,7 +108,10 @@ def term_vars(t: Term) -> Iterator[Var]:
 
 def fact_vars(f: Fact) -> Iterator[Var]:
     for a in f.args:
-        yield from term_vars(a)
+        if isinstance(a, Var):
+            yield a
+        elif isinstance(a, App):
+            yield from term_vars(a)
 
 
 def term_size(t: Term) -> int:

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 
 import pytest
@@ -234,6 +236,23 @@ class TestGenAndReplay:
         parsed = parse_report(rep.read_text(), parse_spec(spec.read_text()))
         assert parsed.trace is not None and parsed.trace.tick_count() == 2
 
+    def test_report_for_an_edited_spec_rejected(self, tmp_path, capsys):
+        spec, rep, _ = self._counterexample(tmp_path)
+        spec.write_text(spec.read_text() + "# edited\n")
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert capsys.readouterr().out == (
+            "trace INVALID: the report's input digest is not that of the spec\n"
+        )
+
+    def test_report_without_digest_still_replays(self, tmp_path, capsys):
+        spec, rep, doc = self._counterexample(tmp_path)
+        del doc["input_digest"]
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 0
+        assert capsys.readouterr().out == "trace validates\n"
+
     @staticmethod
     def _counterexample(tmp_path):
         spec = tmp_path / "d.spec"
@@ -345,6 +364,31 @@ class TestMalformedInvocations:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_gen_tm_rejects_duplicate_instructions(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "states": ["q0", "qa"], "final": ["qa"], "alphabet": ["0", "1"],
+                    "space": 1,
+                    "instructions": [["q0", "0", "qa", "1", "R"], ["q0", "0", "q0", "0", "N"]],
+                }
+            )
+        )
+        out = tmp_path / "t.spec"
+        assert main(["gen", "tm", "--machine", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: two instructions for state 'q0' reading '0'\n"
+        assert not out.exists()
+
+    def test_out_below_a_regular_file_is_not_a_directory(self, tick_spec, capsys):
+        out = f"{tick_spec}/r.json"
+        argv = ["verify", str(tick_spec), "--mode", "realizability", "--out", out]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        reason = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}"
+        assert err == f"error: cannot write {out}: {reason}: '{out}'\n"
 
     def test_verify_checks_out_before_searching(self, tick_spec, tmp_path, capsys, monkeypatch):
         def no_search(*args):

@@ -41,8 +41,9 @@ from tmsr import (
     must_tick,
     tick,
 )
-from tmsr.rules import GE, GREATER, EQUAL
-from tmsr.scenarios import Cnf3, DroneParams, gen_3sat, gen_drone
+from tmsr.rules import GE, GREATER, EQUAL, _candidates
+from tmsr.scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_tm
+from tmsr.search import bounded_survivability, lazy_successors
 
 
 def ts(fact, t):
@@ -616,3 +617,113 @@ class TestGuardExpansion:
         (r,) = expand_rule("r", "T", [], [RulePattern(Fact("N", (9,)), "T1")], [CreatedFact(Fact("N", (9,)), 1)], [])
         with pytest.raises(RuleError):
             make_system(sig, [r], max_fact_size=5)
+
+
+def _reached(sysm, init, ticks, limit):
+    """Configurations reached from init within ``ticks`` clock advances,
+    breadth-first, at most ``limit`` of them."""
+    seen = {init}
+    order = [init]
+    for c in order:
+        if len(order) >= limit:
+            break
+        if c.time - init.time >= ticks:
+            continue
+        for _, _, nxt in lazy_successors(sysm, c):
+            if nxt not in seen and len(order) < limit:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
+class TestRuleIndex:
+    """The index keys are necessary conditions only: every rule that
+    matches a reached configuration is a candidate, and enabled still
+    equals the reference scan, order included."""
+
+    @staticmethod
+    def assert_covered(sysm, config):
+        candidates = set(_candidates(sysm, config, config.time))
+        for i, rule in enumerate(sysm.rules):
+            if match_rule(rule, config):
+                assert i in candidates, (rule.name, config.text())
+        assert enabled(sysm, config) == reference_enabled(sysm, config)
+        assert must_tick(sysm, config) == reference_must_tick(sysm, config)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            DroneParams(drones=2, recency=4, strategy="free"),
+            DroneParams(drones=2, recency=4, strategy="greedy"),
+            DroneParams(strategy="free", wind=((1, 1, "north"), (0, 0, "east"))),
+            DroneParams(single_slot_station=True, drones=2, recency=3),
+        ],
+        ids=["free", "greedy", "wind", "station"],
+    )
+    def test_drone_reach(self, params):
+        spec = gen_drone(params)
+        reached = _reached(spec.system, spec.init, 4 * params.recency, 150)
+        assert len(reached) > 20
+        for config in reached:
+            self.assert_covered(spec.system, config)
+
+    def test_sat_reach(self):
+        for clauses in (((1, -2, 3), (-1, 2, 2)), ((1, 1, 1), (-1, -1, -1)), ((1, 2, -3),)):
+            spec = gen_3sat(Cnf3(3, clauses))
+            for config in _reached(spec.system, spec.init, 2, 200):
+                self.assert_covered(spec.system, config)
+
+    def test_tm_reach(self):
+        machine = TmSpec(
+            states=("q0", "q1", "qa"),
+            final_states=frozenset(("qa",)),
+            alphabet=("0", "1"),
+            instructions={
+                ("q0", "0"): ("q1", "1", "R"),
+                ("q0", "1"): ("q0", "0", "L"),
+                ("q1", "0"): ("q0", "1", "L"),
+                ("q1", "1"): ("qa", "1", "N"),
+            },
+            space=2,
+            input_word=("0", "1"),
+        )
+        spec = gen_tm(machine)
+        reached = _reached(spec.system, spec.init, 12, 200)
+        assert len(reached) > 10
+        for config in reached:
+            self.assert_covered(spec.system, config)
+
+    def test_random_progressive_reach(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            sysm, init, _ = random_progressive_system(rng)
+            for config in _reached(sysm, init, 3, 30):
+                self.assert_covered(sysm, config)
+
+    def test_exact_age_keys_leave_no_failed_attempt_on_greedy(self, monkeypatch):
+        # Every greedy rule is pinned by its drone fact at age 0 and its
+        # picture fact at the age its guard names, so each candidate the
+        # index leaves matches.
+        import tmsr.rules
+
+        calls = {"attempts": 0, "hits": 0}
+        real = tmsr.rules.match_rule
+
+        def counting(*args, **kwargs):
+            got = real(*args, **kwargs)
+            calls["attempts"] += 1
+            calls["hits"] += bool(got)
+            return got
+
+        monkeypatch.setattr(tmsr.rules, "match_rule", counting)
+        spec = gen_drone(DroneParams(drones=2, recency=9, strategy="greedy"))
+        assert len(spec.system.rules) == 720
+        v = bounded_survivability(spec.system, spec.init, spec.critical, spec.ticks)
+        assert v.outcome == "holds"
+        assert calls["attempts"] == calls["hits"] > 0
+
+    def test_index_is_built_on_first_match(self):
+        spec = gen_drone(DroneParams(recency=3))
+        assert "index" not in vars(spec.system)
+        enabled(spec.system, spec.init)
+        assert "index" in vars(spec.system)

@@ -396,3 +396,66 @@ class TestRoundTrips:
         assert again.critical == spec.critical
         assert again.ticks == spec.ticks
         assert print_spec(again) == text
+
+
+class TestFactInterning:
+    """Within one parse, tokens that spelled a flat ground fact parse to
+    that same Fact object again; any other fact parses as if fresh."""
+
+    def test_repeated_ground_facts_are_one_object(self):
+        spec = parse_spec(print_spec(gen_drone(DroneParams(drones=2, recency=4))))
+        by_value = {}
+        for r in spec.system.rules:
+            for f in [p.fact for p in r.patterns] + [cf.fact for cf in r.created]:
+                assert by_value.setdefault(f, f) is f
+        for tf in spec.init:
+            if tf.fact.args:
+                assert by_value.get(tf.fact, tf.fact) is tf.fact
+        picture = Fact("P", (Const("p1"), 0, 1))
+        assert sum(p.fact == picture for r in spec.system.rules for p in r.patterns) > 100
+
+    LOOKALIKES = """\
+tmsr-spec 1
+sort Id
+const a : Id
+pred F : Nat
+pred U : Id
+pred Q
+rule "flat": Time@T, F(3)@T1, U(a)@T2, Q@T3 -> Time@T, F(3)@T1, U(a)@T2, Q@(T+1)
+rule "nested": Time@T, F(s(2))@T1, Q@T2 -> Time@T, F(s(2))@T1, Q@(T+1)
+rule "nested-var": Time@T, F(s(E))@T1 -> Time@T, F(E)@(T+1)
+rule "var": Time@T, U(X)@T1, Q()@T2 -> Time@T, U(X)@(T+1), Q@(T+1)
+rule "flat-again": Time@T, F(3)@T1, U(a)@T2, Q()@T3 -> Time@T, F(3)@(T+1), U(a)@T2, Q@T3
+init: Time@0, F(3)@0, U(a)@0, Q@0
+"""
+
+    def test_lookalikes_parse_as_if_fresh(self):
+        head, rules, init = [], [], []
+        for line in self.LOOKALIKES.splitlines():
+            (rules if line.startswith("rule") else init if line.startswith("init") else head).append(line)
+        together = parse_spec(self.LOOKALIKES)
+        assert len(together.system.rules) == len(rules)
+        for line, got in zip(rules, together.system.rules):
+            (fresh,) = parse_spec("\n".join(head + [line] + init) + "\n").system.rules
+            assert got == fresh
+        by_name = {r.name: r for r in together.system.rules}
+        assert by_name["nested"].preserved[0].fact == Fact("F", (3,))
+        (pattern,) = by_name["nested-var"].consumed
+        assert pattern.fact.args[0] != 3 and pattern.fact != Fact("F", (3,))
+        assert by_name["var"].consumed[0].fact.args[0] != Const("a")
+        threes = [
+            p.fact for name in ("flat", "flat-again") for p in by_name[name].patterns
+            if p.fact.pred == "F"
+        ]
+        assert threes[0] is threes[1]
+        nullary = [p.fact for r in together.system.rules for p in r.patterns if p.fact.pred == "Q"]
+        assert nullary and all(f == Fact("Q") for f in nullary)
+
+    def test_variable_after_a_cached_fact_keeps_its_diagnostic(self):
+        # U(X) binds X at sort Id in each rule; a U(X) cached from the rule
+        # "var" would skip that binding and miss the clash with F(X).
+        clash = 'rule "clash": Time@T, U(X)@T1, F(X)@T2 -> Time@T, U(X)@T1, F(X)@(T+1)\n'
+        text = self.LOOKALIKES.replace("init:", clash + "init:")
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text)
+        assert "variable 'X' used at sorts 'Id' and 'Nat'" in str(err.value)
