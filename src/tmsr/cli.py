@@ -20,6 +20,7 @@ import sys
 
 from .delta import count_bound
 from .reports import (
+    TOOL_VERSION,
     ReportError,
     VerdictReport,
     emit_report,
@@ -293,6 +294,12 @@ def _cmd_replay(args) -> int:
 
     if parsed.digest and parsed.digest != input_digest(text):
         print("trace INVALID: the report's input digest is not that of the spec")
+        return EXIT_FAILS
+    if parsed.version is not None and parsed.version != TOOL_VERSION:
+        print(
+            f"trace INVALID: the report was written by version {parsed.version!r}, "
+            f"not by this tool's {TOOL_VERSION!r}"
+        )
         return EXIT_FAILS
 
     first = parsed.lasso.stem if parsed.lasso is not None else parsed.trace

@@ -132,6 +132,7 @@ class ParsedReport:
     trace: Trace | None
     lasso: Lasso | None
     digest: str  # the input digest; empty when the report has none
+    version: str | None  # the tool version; None when the report has none
 
 
 _JSON_TYPES = {
@@ -228,6 +229,9 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
     if ticks is not None:
         _require(ticks, int, "field 'ticks' of the report")
     digest = _require(obj.get("input_digest", ""), str, "field 'input_digest' of the report")
+    version = obj.get("version")
+    if version is not None:
+        _require(version, str, "field 'version' of the report")
     trace = None
     lasso = None
     reader = _ReportReader(spec)
@@ -243,4 +247,4 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
             trace = Trace(init, reader.steps(_field(obj, "trace", list, "the report")))
     except TmsrError as exc:
         raise ReportError(f"malformed trace: {exc}") from None
-    return ParsedReport(mode, outcome, ticks, trace, lasso, digest)
+    return ParsedReport(mode, outcome, ticks, trace, lasso, digest, version)

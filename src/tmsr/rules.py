@@ -145,6 +145,21 @@ class Rule:
         built on first use: generators that only print a spec never match."""
         return _compile(self.patterns, self.guard, (self.time_var,), self.past_bounds)
 
+    @cached_property
+    def rewrite_plan(self) -> _RewritePlan:
+        """What ``rewrite`` needs of the rule, compiled on first use: the
+        consumed patterns as (fact, ground, tvar), the created facts as
+        (fact, size, offset) with size None unless the fact is ground (and
+        then used as it is), and whether a created fact is a clock."""
+        consumed = tuple(
+            (p.fact, _normal_ground_args(p.fact.args), p.tvar) for p in self.consumed
+        )
+        created = tuple(
+            (cf.fact, fact_size(cf.fact) if _normal_ground_args(cf.fact.args) else None, cf.offset)
+            for cf in self.created
+        )
+        return consumed, created, any(cf.fact.pred == TIME for cf in self.created)
+
     def max_creation_offset(self) -> int:
         return max((cf.offset for cf in self.created), default=0)
 
@@ -318,24 +333,32 @@ def make_system(
 # Every rule and critical pair is compiled once, on its first match, into
 # one step per pattern in declaration order. A ground pattern in normal form
 # is matched by fact equality; any other pattern by structural matching
-# whose new bindings are undone from a trail. Each guard atom is checked
-# at the first step where both its variables are bound. A step visits
-# only the elements of its predicate, in canonical order, so matches are
-# enumerated in exactly the order of a plain backtracking scan over the
-# configuration.
+# whose new bindings are undone from a trail, on the elements that equal
+# its ground arguments. Each guard atom is checked at the first step where
+# both its variables are bound. A step visits only the elements of its
+# predicate, in canonical order, so matches are enumerated in exactly the
+# order of a plain backtracking scan over the configuration. A matched
+# instance is rewritten by ``rewrite`` without a second match; the checked
+# ``apply_rule`` is for instances from outside, such as a replayed trace.
 
 
 _Check = tuple[bool, str, str, int]  # a guard atom: (greater, left, right, offset)
 
 # A compiled pattern step is a plain tuple, cheap to build for every rule:
-#   (pred, fact, ground, tvar, binds_tvar, past, checks)
+#   (pred, fact, ground, tvar, binds_tvar, past, checks, fixed)
 # ground: the fact is matched by equality with the element's fact;
 # binds_tvar: the first step to bind tvar (later ones compare with it);
 # past: the element's stamp must not exceed the clock;
-# checks: the guard atoms decided once this step is bound.
-_Step = tuple[str, Fact, bool, str, bool, bool, tuple[_Check, ...]]
+# checks: the guard atoms decided once this step is bound;
+# fixed: (position, argument) of each ground argument in normal form of
+# a non-ground fact, which an element must equal to match.
+_Step = tuple[str, Fact, bool, str, bool, bool, tuple[_Check, ...], tuple[tuple[int, Term], ...]]
 # A match plan: (guard atoms decided before the first step, steps).
 _MatchPlan = tuple[tuple[_Check, ...], tuple[_Step, ...]]
+# A rewrite plan (see Rule.rewrite_plan).
+_RewritePlan = tuple[
+    tuple[tuple[Fact, bool, str], ...], tuple[tuple[Fact, int | None, int], ...], bool
+]
 
 
 def _normal_ground(t: Term) -> bool:
@@ -377,18 +400,22 @@ def _compile(
         checks.setdefault(max(left, right), []).append(
             (c.rel == GREATER, c.left, c.right, c.offset)
         )
-    steps = [
-        (
+    steps = []
+    for i, p in enumerate(patterns):
+        ground = _normal_ground_args(p.fact.args)
+        fixed = () if ground else tuple(
+            (k, a) for k, a in enumerate(p.fact.args) if _normal_ground(a)
+        )
+        steps.append((
             p.fact.pred,
             p.fact,
-            _normal_ground_args(p.fact.args),
+            ground,
             p.tvar,
             p.tvar not in bound and tvars.index(p.tvar) == i,
             p.tvar in past_tvars,
             tuple(checks.get(i, ())),
-        )
-        for i, p in enumerate(patterns)
-    ]
+            fixed,
+        ))
     return tuple(checks.get(-1, ())), tuple(steps)
 
 
@@ -454,9 +481,10 @@ def _run_plan(
     if not _holds(pre_checks, tbind):
         return []
     # Candidate elements per step: its predicate and arity (its fact, when
-    # ground), within the past bound and at the stamp already bound, if any.
+    # ground, else its ground arguments), within the past bound and at the
+    # stamp already bound, if any.
     candidates = []
-    for pred, fact, ground, tvar, _, past, _ in steps:
+    for pred, fact, ground, tvar, _, past, _, fixed in steps:
         pos = groups.get(pred)
         if pos is None:
             return []
@@ -465,11 +493,13 @@ def _run_plan(
             pos = [j for j in pos if elements[j].fact.args == args]
         else:
             pos = [j for j in pos if len(elements[j].fact.args) == len(args)]
+            for k, a in fixed:
+                pos = [j for j in pos if elements[j].fact.args[k] == a]
         if past and clock is not None:
             pos = [j for j in pos if elements[j].ts <= clock]
-        fixed = tbind.get(tvar)
-        if fixed is not None:
-            pos = [j for j in pos if elements[j].ts == fixed]
+        at = tbind.get(tvar)
+        if at is not None:
+            pos = [j for j in pos if elements[j].ts == at]
         if not pos:
             return []
         candidates.append(pos)
@@ -501,7 +531,7 @@ def _walk(
         seen.add(s)
         out.append(s)
         return first_only
-    _, fact, ground, tvar, binds_tvar, _, checks = steps[i]
+    _, fact, ground, tvar, binds_tvar, _, checks, _ = steps[i]
     for j in candidates[i]:
         if used[j]:
             continue
@@ -679,39 +709,29 @@ def apply_rule(
     s: Substitution,
     max_fact_size: int | None = None,
 ) -> Configuration:
-    """Apply r under s: consumed instances removed, created facts added at
-    clock + offset. Raises RuleError if s does not satisfy the
-    precondition, FactSizeError if a created fact exceeds the bound."""
+    """Apply r under s, checking first that s matches r on c: raises
+    RuleError if s does not satisfy the precondition, FactSizeError if a
+    created fact exceeds the bound. The searches call ``rewrite`` on the
+    instances ``enabled`` has matched; this checked path serves replay."""
     clock = c.time
     if s.time(r.time_var) != clock:
         raise RuleError(f"rule {r.name!r}: clock binding does not match")
     terms = dict(s.terms)
     times = dict(s.times)
     pre_checks, steps = r.plan
-    # Instances of the precondition, listed per stamp and predicate: one
-    # pass over c checks containment and drops the consumed occurrences.
+    # Instances of the precondition, counted per stamp and predicate, then
+    # checked off against c in one pass.
     wanted: dict[tuple[int, str], list[Fact]] = {}
-    dropped: dict[tuple[int, str], list[Fact]] = {}
-    n_preserved = len(r.preserved)
-    for k, (pred, fact, ground, tvar, _, _, _) in enumerate(steps):
+    for pred, fact, ground, tvar, _, _, _, _ in steps:
         inst = fact if ground else apply_subst(fact, terms)
         ts = times.get(tvar)
         if ts is None:
             raise UnboundVariableError(tvar)
         wanted.setdefault((ts, pred), []).append(inst)
-        if k >= n_preserved:
-            dropped.setdefault((ts, pred), []).append(inst)
-    remaining = []
     for tf in c.facts:
-        key = (tf.ts, tf.fact.pred)
-        want = wanted.get(key)
+        want = wanted.get((tf.ts, tf.fact.pred))
         if want and tf.fact in want:
             want.remove(tf.fact)
-        drop = dropped.get(key)
-        if drop and tf.fact in drop:
-            drop.remove(tf.fact)
-            continue
-        remaining.append(tf)
     if any(wanted.values()):
         raise RuleError(f"rule {r.name!r}: precondition not a sub-multiset")
     for tv in r.past_bounds:
@@ -720,20 +740,47 @@ def apply_rule(
     if not (_holds(pre_checks, times) and all(_holds(st[6], times) for st in steps)):
         guard = ", ".join(g.text() for g in r.guard)
         raise RuleError(f"rule {r.name!r}: guard {guard} fails")
-    created = []
-    for cf in r.created:
-        inst = apply_subst(cf.fact, terms)
-        if max_fact_size is not None and fact_size(inst) > max_fact_size:
+    return rewrite(r, c, s, max_fact_size)
+
+
+def rewrite(
+    r: Rule,
+    c: Configuration,
+    s: Substitution,
+    max_fact_size: int | None = None,
+) -> Configuration:
+    """The successor of c under a matched (r, s): the consumed instances
+    removed, each created fact added at clock + offset. s is not checked
+    against c (``apply_rule`` does that), but FactSizeError is raised if a
+    created fact exceeds the bound."""
+    times = dict(s.times)
+    clock = times[r.time_var]
+    consumed, created, creates_time = r.rewrite_plan
+    terms = dict(s.terms)
+    remaining = list(c.facts)
+    for fact, ground, tvar in consumed:
+        inst = fact if ground else apply_subst(fact, terms)
+        ts = times[tvar]
+        for j, tf in enumerate(remaining):
+            if tf.ts == ts and tf.fact == inst:
+                del remaining[j]
+                break
+    new = []
+    for fact, size, offset in created:
+        if size is None:
+            fact = apply_subst(fact, terms)
+            size = fact_size(fact)
+        if max_fact_size is not None and size > max_fact_size:
             raise FactSizeError(
-                f"rule {r.name!r} created {fact_text(inst)} of size "
-                f"{fact_size(inst)}, exceeding the bound {max_fact_size}"
+                f"rule {r.name!r} created {fact_text(fact)} of size "
+                f"{size}, exceeding the bound {max_fact_size}"
             )
-        created.append(TimestampedFact(inst, clock + cf.offset))
-    if any(tf.fact.pred == TIME for tf in created):
-        return Configuration(tuple(remaining + created))  # rejects a second clock
+        new.append(TimestampedFact(fact, clock + offset))
+    if creates_time:
+        return Configuration(tuple(remaining + new))  # rejects a second clock
     # remaining keeps the canonical order of c, and every created fact is
     # ground: each of its variables is bound to a term of c.
-    for tf in created:
+    for tf in new:
         insert_canonical(remaining, tf)
     return Configuration._canonical(tuple(remaining))
 

@@ -46,6 +46,7 @@ from .rules import (
     enabled,
     is_critical,
     must_tick,
+    rewrite,
     tick,
 )
 from .terms import Configuration, TmsrError
@@ -137,12 +138,11 @@ def lazy_successors(
     sys: System, c: Configuration
 ) -> list[tuple[str, Substitution | None, Configuration]]:
     """Successors under lazy sampling: every enabled instantaneous
-    instance, or the single clock advance when none is enabled."""
+    instance, or the single clock advance when none is enabled. Each
+    instance is rewritten as matched; replay checks it with ``apply_rule``."""
     pairs = enabled(sys, c)
     if pairs:
-        return [
-            (r.name, s, apply_rule(r, c, s, sys.max_fact_size)) for r, s in pairs
-        ]
+        return [(r.name, s, rewrite(r, c, s, sys.max_fact_size)) for r, s in pairs]
     return [(TICK_LABEL, None, tick(c))]
 
 

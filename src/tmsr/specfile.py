@@ -113,12 +113,15 @@ class SpecFile:
 # themselves. Tokens carry no column: a diagnostic finds its column by
 # scanning its one line again.
 
-_TOKEN_RE = re.compile(r'"[^"]*"|->|>=|\d+|[A-Za-z_][A-Za-z0-9_]*|[@(),:|+\-><={}]')
+_TOKEN_RE = re.compile(r'"[^"]*"|->|>=|\d+|[A-Za-z_][A-Za-z0-9_]*|[@(),:|+\-><={}]', re.ASCII)
 
 # The longest prefix of a line made of whole tokens and whitespace: the line
 # holds a stray character (one no token can start with, or a '"' that is
 # never closed) exactly where this match ends short of the line's end.
-_CLEAN_RE = re.compile(r'(?:[\s\dA-Za-z_@(),:|+\-><={}]+|"[^"]*")*')
+_CLEAN_RE = re.compile(r'(?:[\s\dA-Za-z_@(),:|+\-><={}]+|"[^"]*")*', re.ASCII)
+
+# The characters \s matches under re.ASCII: no other character is blank.
+_BLANKS = " \t\n\r\f\v"
 
 # A rule, init or critical line; pass 1 keeps these as text.
 _DEFERRED_RE = re.compile(r"\s*(?:(rule|critical)(?![A-Za-z0-9_])|init\s*:)")
@@ -247,12 +250,12 @@ class SpecParser:
         body: list[tuple[int, str]] = []
         for idx, raw in enumerate(lines, start=1):
             stripped = self._strip_comment(raw)
-            if stripped.strip():
+            if stripped.strip(_BLANKS):
                 body.append((idx, stripped))
         if not body:
             raise SpecParseError("syntax", "empty spec", 1)
         first_line, first = body[0]
-        if first.strip() != HEADER:
+        if first.strip(_BLANKS) != HEADER:
             raise SpecParseError(
                 "syntax", f"missing header line {HEADER!r}", first_line
             )

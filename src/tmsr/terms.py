@@ -17,7 +17,7 @@ tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -66,6 +66,16 @@ Term = Union[int, Var, Const, App]
 class Fact:
     pred: str
     args: tuple[Term, ...] = ()
+    # The hash of (pred, args), computed on first use (None until then):
+    # facts are hashed again with every configuration that holds them.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.pred, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,6 +277,9 @@ class Configuration:
     """Canonically ordered multiset of ground timestamped facts."""
 
     facts: tuple[TimestampedFact, ...]
+    # The hash of (facts,), computed on first use (None until then): a
+    # visited-set key is hashed on every lookup.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.facts, key=canonical_key))
@@ -286,7 +299,15 @@ class Configuration:
         exactly one Time fact, skipping the checks of the constructor."""
         c = object.__new__(cls)
         object.__setattr__(c, "facts", facts)
+        object.__setattr__(c, "_hash", None)
         return c
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.facts,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def time(self) -> int:

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package's search code:
 the concrete-state oracle normalizes timestamps by hand and detects
 cycles with networkx, the matcher enumerates candidate substitutions
 exhaustively, the reference scan runs every rule through a plain
-backtracking matcher, and satisfiability / machine termination are
+backtracking matcher, the reference rewrite is multiset arithmetic on
+the fact list, and satisfiability / machine termination are
 decided by direct enumeration and simulation.
 """
 
@@ -221,6 +222,20 @@ def reference_is_critical(cs: CriticalSpec, config: Configuration):
         if got:
             return i, got[0]
     return None
+
+
+def reference_rewrite(rule, config: Configuration, s: Substitution) -> Configuration:
+    """The successor of config under a matched (rule, s): each consumed
+    instance removed from the fact list, each created one appended, and the
+    result sorted by the public constructor."""
+    terms = dict(s.terms)
+    times = dict(s.times)
+    facts = list(config.facts)
+    for p in rule.consumed:
+        facts.remove(TimestampedFact(apply_subst(p.fact, terms), times[p.tvar]))
+    for cf in rule.created:
+        facts.append(TimestampedFact(apply_subst(cf.fact, terms), config.time + cf.offset))
+    return Configuration(tuple(facts))
 
 
 # ---------------------------------------------------------------------------

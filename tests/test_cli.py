@@ -105,6 +105,20 @@ class TestVerify:
     def test_bare_ticks_without_default_is_an_input_error(self, tick_spec):
         assert main(["verify", str(tick_spec), "--mode", "realizability", "--ticks"]) == 3
 
+    @pytest.mark.parametrize("mode", ["realizability", "survivability"])
+    @pytest.mark.parametrize("ticks", [[], ["--ticks", "3"]], ids=["unbounded", "bounded"])
+    def test_oversized_created_fact_exits_3(self, tmp_path, capsys, mode, ticks):
+        path = tmp_path / "grow.spec"
+        path.write_text(
+            "tmsr-spec 1\npred N : Nat\n"
+            'rule "grow": Time@T, N(K)@T1 -> Time@T, N(s(K))@(T+1)\n'
+            "init: N(0)@0, Time@0\nparams: k=3\n"
+        )
+        assert main(["verify", str(path), "--mode", mode, *ticks]) == 3
+        assert capsys.readouterr().err == (
+            "error: rule 'grow' created N(2) of size 4, exceeding the bound 3\n"
+        )
+
     def test_reports_deterministic_up_to_timing(self, tmp_path):
         spec = tmp_path / "d.spec"
         main(["gen", "drone", "--recency", "2", "--out", str(spec)])
@@ -252,6 +266,33 @@ class TestGenAndReplay:
         capsys.readouterr()
         assert main(["replay", str(spec), str(rep)]) == 0
         assert capsys.readouterr().out == "trace validates\n"
+
+    def test_report_of_another_version_rejected(self, tmp_path, capsys):
+        spec, rep, doc = self._counterexample(tmp_path)
+        doc["version"] = "0.0.9"
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert capsys.readouterr().out == (
+            "trace INVALID: the report was written by version '0.0.9', "
+            "not by this tool's '0.1.0'\n"
+        )
+
+    def test_report_without_version_still_replays(self, tmp_path, capsys):
+        spec, rep, doc = self._counterexample(tmp_path)
+        del doc["version"]
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 0
+        assert capsys.readouterr().out == "trace validates\n"
+
+    def test_version_must_be_a_string(self, tmp_path, capsys):
+        spec, rep, doc = self._counterexample(tmp_path)
+        doc["version"] = 1
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 3
+        assert "field 'version' of the report must be a string" in capsys.readouterr().err
 
     @staticmethod
     def _counterexample(tmp_path):

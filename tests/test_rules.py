@@ -9,6 +9,7 @@ from support import (
     reference_is_critical,
     reference_match_rule,
     reference_must_tick,
+    reference_rewrite,
 )
 
 from tmsr import (
@@ -39,6 +40,7 @@ from tmsr import (
     make_system,
     match_rule,
     must_tick,
+    rewrite,
     tick,
 )
 from tmsr.rules import GE, GREATER, EQUAL, _candidates
@@ -423,6 +425,57 @@ class TestCompiledMatchingAgreesWithReferenceScan:
         after = apply_rule(rule, same, s)
         assert after.facts.count(ts(Fact("F"), 0)) == 1
 
+    def test_ground_arguments_among_variables(self):
+        # Dr(Id,X,Y,0) keeps only the drained drones before any binding;
+        # the order of the matches must still be the plain scan's.
+        ident, x, y, e = Var("Id", "Id"), Var("X", "Nat"), Var("Y", "Nat"), Var("E", "Nat")
+        d1, d2, d3 = Const("d1"), Const("d2"), Const("d3")
+        drained = Fact("Dr", (ident, x, y, 0))
+        sig = make_signature(
+            ("Id",), {"Dr": ("Id", "Nat", "Nat", "Nat"), "At": ("Id", "Nat")},
+            {}, {"d1": "Id", "d2": "Id", "d3": "Id"},
+        )
+        (pair_rule,) = expand_rule(
+            "pair", "T", [RulePattern(drained, "T1")],
+            [RulePattern(Fact("Dr", (d2, x, 1, e)), "T2")],
+            [CreatedFact(Fact("Dr", (d2, x, 1, e)), 1)], [],
+        )
+        (at_rule,) = expand_rule(
+            "at", "T", [RulePattern(Fact("At", (ident, 0)), "T1")],
+            [RulePattern(Fact("Dr", (ident, 0, y, e)), "T2")],
+            [CreatedFact(Fact("Dr", (ident, 0, y, e)), 1)], [],
+        )
+        sysm = make_system(sig, [pair_rule, at_rule])
+        cs = CriticalSpec(
+            expand_critical_pair("drained", [RulePattern(drained, "T")])
+            + expand_critical_pair(
+                "two", [RulePattern(drained, "A"), RulePattern(Fact("Dr", (d3, x, y, 0)), "B")]
+            )
+        )
+        configs = [
+            Configuration((ts(Fact("Time"), 2), ts(Fact("Dr", (d1, 0, 1, 3)), 0))),
+            Configuration((
+                ts(Fact("Time"), 2),
+                ts(Fact("Dr", (d1, 0, 1, 0)), 1),
+                ts(Fact("Dr", (d2, 0, 1, 2)), 0),
+                ts(Fact("Dr", (d3, 1, 1, 0)), 0),
+                ts(Fact("Dr", (d3, 0, 1, 0)), 2),
+                ts(Fact("At", (d1, 0)), 0),
+                ts(Fact("At", (d3, 0)), 1),
+                ts(Fact("At", (d2, 1)), 1),
+            )),
+        ]
+        for config in configs:
+            self.assert_agree(sysm, cs, config)
+            for rule in sysm.rules:
+                for first_only in (False, True):
+                    assert match_rule(rule, config, first_only) == reference_match_rule(
+                        rule, config, first_only
+                    )
+        assert [r.name for r, _ in enabled(sysm, configs[1])] == ["pair", "pair", "at", "at"]
+        assert is_critical(cs, configs[0]) is None
+        assert is_critical(cs, configs[1])[0] == 0
+
     def test_match_rule_agrees_with_reference(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -639,7 +692,9 @@ def _reached(sysm, init, ticks, limit):
 class TestRuleIndex:
     """The index keys are necessary conditions only: every rule that
     matches a reached configuration is a candidate, and enabled still
-    equals the reference scan, order included."""
+    equals the reference scan, order included. Every enabled pair
+    rewrites to what the checked ``apply_rule`` and the reference rewrite
+    give, in canonical order."""
 
     @staticmethod
     def assert_covered(sysm, config):
@@ -647,8 +702,14 @@ class TestRuleIndex:
         for i, rule in enumerate(sysm.rules):
             if match_rule(rule, config):
                 assert i in candidates, (rule.name, config.text())
-        assert enabled(sysm, config) == reference_enabled(sysm, config)
+        pairs = enabled(sysm, config)
+        assert pairs == reference_enabled(sysm, config)
         assert must_tick(sysm, config) == reference_must_tick(sysm, config)
+        k = sysm.max_fact_size
+        for rule, s in pairs:
+            got = rewrite(rule, config, s, k)
+            assert got == apply_rule(rule, config, s, k) == reference_rewrite(rule, config, s)
+            assert Configuration(got.facts).facts == got.facts
 
     @pytest.mark.parametrize(
         "params",

@@ -7,6 +7,7 @@ from support import oracle_verdicts, random_progressive_system
 from tmsr import (
     Configuration,
     CreatedFact,
+    FactSizeError,
     CriticalPair,
     CriticalSpec,
     FAILS,
@@ -28,6 +29,7 @@ from tmsr import (
     invariant_counters,
     make_signature,
     make_system,
+    parse_spec,
     realizability,
     survivability,
     validate_lasso,
@@ -303,6 +305,35 @@ class TestValidateTrace:
         longer = Trace(init, tuple(steps))
         assert len(longer.steps) == 24
         assert validate_trace(sysm, cs, longer, expected_ticks=4)
+
+
+# N(0) and N(1) fit the bound k=3; the second step creates N(2), of size 4.
+GROWING = (
+    "tmsr-spec 1\npred N : Nat\n"
+    'rule "grow": Time@T, N(K)@T1 -> Time@T, N(s(K))@(T+1)\n'
+    "init: N(0)@0, Time@0\nparams: k=3\n"
+)
+
+
+class TestFactSizeBound:
+    """The searches build successors with ``rewrite``, not ``apply_rule``,
+    and still abort on a created fact above the bound."""
+
+    @pytest.mark.parametrize(
+        "decide, ticks",
+        [
+            (realizability, None),
+            (survivability, None),
+            (bounded_realizability, 3),
+            (bounded_survivability, 3),
+        ],
+        ids=["realizability", "survivability", "bounded-real", "bounded-surv"],
+    )
+    def test_every_procedure_raises(self, decide, ticks):
+        spec = parse_spec(GROWING)
+        args = (spec.system, spec.init, spec.critical) + (() if ticks is None else (ticks,))
+        with pytest.raises(FactSizeError, match=r"^rule 'grow' created N\(2\) of size 4"):
+            decide(*args)
 
 
 class TestInvariants:

@@ -258,6 +258,11 @@ MALFORMED_SPECS = {
     + INIT
     + 'critical "c": { P(p1,0,1)@T ? }\n',
     "non-ascii-letter": PRE + "init: Time@0, P(p1,0,1)@0, \u00e9\n",
+    # Only ASCII digits make a numeral and only ASCII whitespace is blank.
+    "arabic-indic-digit": PRE + "init: Time@0, Dr(d1,1,1,\u0664)@0\n",
+    "fullwidth-digits": PRE + INIT + "params: k=\uff11\uff13\n",
+    "no-break-space": PRE + "init:\u00a0Time@0, P(p1,0,1)@0\n",
+    "no-break-space-line": PRE + "\u00a0\n" + INIT,
     "fn-missing-result": PRE + "fn f : Nat Nat\n" + INIT,
     "variable-sort-clash": PRE
     + 'rule "m": Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1 -> '
@@ -268,6 +273,7 @@ MALFORMED_FACTS = {
     "fact-not-ground": "P(X,0,1)",
     "fact-trailing": "P(p1,0,1) P",
     "fact-stray": "P(p1,0,1)!",
+    "fact-non-ascii-digit": "P(p1,0,\u0661)",
 }
 MALFORMED_TERMS = {
     "term-wrong-sort": ("p1", "Nat"),
@@ -314,6 +320,10 @@ DIAGNOSTICS = {
         "9:29: [syntax] unexpected character '?'",
     ),
     "non-ascii-letter": ("syntax", 7, 28, "7:28: [syntax] unexpected character 'é'"),
+    "arabic-indic-digit": ("syntax", 7, 25, "7:25: [syntax] unexpected character '\u0664'"),
+    "fullwidth-digits": ("syntax", 8, 11, "8:11: [syntax] unexpected character '\uff11'"),
+    "no-break-space": ("syntax", 7, 6, "7:6: [syntax] unexpected character '\\xa0'"),
+    "no-break-space-line": ("syntax", 7, 1, "7:1: [syntax] unexpected character '\\xa0'"),
     "fn-missing-result": ("syntax", 7, 12, "7:12: [syntax] unexpected end of line"),
     "variable-sort-clash": (
         "sort",
@@ -324,6 +334,7 @@ DIAGNOSTICS = {
     "fact-not-ground": ("syntax", 1, 0, "1:0: [syntax] fact is not ground"),
     "fact-trailing": ("syntax", 1, 11, "1:11: [syntax] trailing input 'P'"),
     "fact-stray": ("syntax", 1, 10, "1:10: [syntax] unexpected character '!'"),
+    "fact-non-ascii-digit": ("syntax", 1, 8, "1:8: [syntax] unexpected character '\u0661'"),
     "term-wrong-sort": ("sort", 1, 1, "1:1: [sort] constant 'p1' has sort 'Id', expected 'Nat'"),
     "term-empty": ("syntax", 1, 1, "1:1: [syntax] unexpected end of line"),
 }

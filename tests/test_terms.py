@@ -141,6 +141,51 @@ class TestCanonicalSequence:
             assert again.facts == TWO_DRONE_CONFIG.facts
 
 
+class TestCachedHashes:
+    """Facts and configurations keep their hash in a slot that equality
+    and repr ignore; every way of building a configuration hashes it like
+    the public constructor does."""
+
+    def test_configuration_hash_whatever_built_it(self):
+        from tmsr import abstract, apply_rule, enabled, rewrite
+        from tmsr.scenarios import DroneParams, gen_drone
+
+        spec = gen_drone(DroneParams(drones=2, recency=4, strategy="free"))
+        c = spec.init
+        (r, sub), *_ = enabled(spec.system, c)
+        built = [
+            TWO_DRONE_CONFIG,
+            c,
+            TWO_DRONE_CONFIG.replace_time(9),
+            abstract(TWO_DRONE_CONFIG, 1),
+            rewrite(r, c, sub),
+            apply_rule(r, c, sub),
+            Configuration._canonical(TWO_DRONE_CONFIG.facts),
+        ]
+        for config in built:
+            fresh = Configuration(config.facts)
+            assert hash(config) == hash(fresh) == hash((config.facts,))
+            assert config == fresh and {config: 1}[fresh] == 1
+
+    def test_fact_hash_is_that_of_its_fields(self):
+        f = Fact("Dr", (Const("d1"), 1, App("f", (2,)), 0))
+        assert hash(f) == hash(("Dr", f.args)) == hash(f)
+        assert f == Fact("Dr", f.args) and hash(f) == hash(Fact("Dr", f.args))
+
+    def test_repr_and_equality_ignore_the_cached_hash(self):
+        f = Fact("P", (Const("p1"), 1))
+        c = Configuration((ts(Fact("Time"), 0), ts(f, 0)))
+        before = (repr(f), repr(c))
+        hash(f), hash(c)
+        assert (repr(f), repr(c)) == before
+        assert repr(f) == "Fact(pred='P', args=(Const(name='p1'), 1))"
+        assert repr(c) == (
+            "Configuration(facts=(TimestampedFact(fact=Fact(pred='P', args=(Const("
+            "name='p1'), 1)), ts=0), TimestampedFact(fact=Fact(pred='Time', args=()), ts=0)))"
+        )
+        assert c == Configuration(c.facts) and f == Fact("P", f.args)
+
+
 class TestConfigurationInvariants:
     def test_exactly_one_clock_fact(self):
         with pytest.raises(ConfigurationError):
