@@ -126,6 +126,10 @@ _BLANKS = " \t\n\r\f\v"
 # A rule, init or critical line; pass 1 keeps these as text.
 _DEFERRED_RE = re.compile(r"\s*(?:(rule|critical)(?![A-Za-z0-9_])|init\s*:)")
 
+# The keyword and name of a rule line. The rest of the line splits into
+# segments at its first '->' and, before that, at its first '|'.
+_RULE_HEAD_RE = re.compile(r'\s*rule\s*"([^"]*)"', re.ASCII)
+
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 # Ends every token list, so that reading one token past the last real one
@@ -194,6 +198,10 @@ class _Cursor:
 # Parser
 
 
+# A rule's clock variable and its preserved, consumed and created facts.
+_RuleSides = tuple[str, tuple[RulePattern, ...], tuple[RulePattern, ...], tuple[CreatedFact, ...]]
+
+
 class SpecParser:
     """Parser of spec text. ``parse_spec`` runs it on a whole spec;
     ``for_signature`` gives one that reads fact and term texts against a
@@ -212,6 +220,9 @@ class SpecParser:
         self.sig: Signature | None = None
         # Flat ground facts by the tokens that spell them; see _parse_fact.
         self.flat_facts: dict[tuple[str, ...], Fact] = {}
+        # Parsed rule segments by their texts; see _parse_rule.
+        self.rule_sides: dict[tuple[str, str], _RuleSides] = {}
+        self.rule_guards: dict[tuple[str, str], tuple[TimeConstraint, ...]] = {}
 
     @classmethod
     def for_signature(cls, sig_or_spec) -> "SpecParser":
@@ -246,9 +257,12 @@ class SpecParser:
     # -- pass 1: collect declarations ------------------------------------
 
     def read(self, text: str) -> None:
-        lines = text.splitlines()
+        # Only "\n" ends a line: str.splitlines would also break at "\f",
+        # "\v", U+2028 and others, and so move every later line number.
         body: list[tuple[int, str]] = []
-        for idx, raw in enumerate(lines, start=1):
+        for idx, raw in enumerate(text.split("\n"), start=1):
+            if raw.endswith("\r"):
+                raw = raw[:-1]
             stripped = self._strip_comment(raw)
             if stripped.strip(_BLANKS):
                 body.append((idx, stripped))
@@ -524,6 +538,40 @@ class SpecParser:
             i += 1
 
     def _parse_rule(self, line: int, text: str) -> tuple[Rule, ...]:
+        # A line that parsed in full stores its segments by their text: the
+        # two sides together, since they share their variables, and the
+        # guard apart, since it binds none (with its bar, so that "|->"
+        # never takes the empty guard of a line without one). A segment's
+        # tokens are the same in every line that holds its text and its
+        # parse reads no others, so a line whose segments are all stored
+        # parses to them. expand_rule still checks this guard against
+        # these patterns.
+        head = _RULE_HEAD_RE.match(text)
+        sides = guard = None
+        if head is not None:
+            before, _, rhs_text = text[head.end() :].partition("->")
+            lhs_text, bar, guard_text = before.partition("|")
+            sides_key, guard_key = (lhs_text, rhs_text), (bar, guard_text)
+            sides = self.rule_sides.get(sides_key)
+            guard = self.rule_guards.get(guard_key)
+        if sides is None or guard is None:
+            name, sides, guard = self._parse_rule_tokens(line, text)
+        else:
+            name = head.group(1)
+        try:
+            rules = expand_rule(name, *sides, guard)
+        except RuleError as exc:
+            raise SpecParseError("syntax", str(exc), line) from None
+        if head is not None:
+            self.rule_sides[sides_key] = sides
+            self.rule_guards[guard_key] = guard
+        return rules
+
+    def _parse_rule_tokens(
+        self, line: int, text: str
+    ) -> tuple[str, _RuleSides, tuple[TimeConstraint, ...]]:
+        """A rule line's name, sides and guard atoms (before ``>=``
+        expansion), parsed from its tokens."""
         cur = _Cursor(text, line, 1)
         toks = cur.toks
         name = cur.expect(1, "string").strip('"')
@@ -630,11 +678,8 @@ class SpecParser:
                     line,
                 )
             created.append(CreatedFact(f, off))
-        consumed = [RulePattern(f, tv) for f, tv in remaining]
-        try:
-            return expand_rule(name, time_var, preserved, consumed, created, guard)
-        except RuleError as exc:
-            raise SpecParseError("syntax", str(exc), line) from None
+        consumed = tuple(RulePattern(f, tv) for f, tv in remaining)
+        return name, (time_var, tuple(preserved), consumed, tuple(created)), tuple(guard)
 
     def _parse_init(self, line: int, text: str) -> list[TimestampedFact]:
         cur = _Cursor(text, line, 2)

@@ -6,7 +6,8 @@ cycles with networkx, the matcher enumerates candidate substitutions
 exhaustively, the reference scan runs every rule through a plain
 backtracking matcher, the reference rewrite is multiset arithmetic on
 the fact list, and satisfiability / machine termination are
-decided by direct enumeration and simulation.
+decided by direct enumeration and simulation. A rule line's reference
+parse is the spec with every other rule line blanked.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from tmsr import (
     tick,
 )
 from tmsr.rules import GREATER
+from tmsr.specfile import SpecParseError, parse_spec
 from tmsr.terms import TIME, fact_vars, term_text
 
 
@@ -450,3 +452,31 @@ def machine_runs_forever(spec) -> bool:
         tape[pos] = sym2
         q = q2
         pos += {"L": -1, "R": 1, "N": 0}[move]
+
+
+# ---------------------------------------------------------------------------
+# One rule line at a time
+
+
+def rule_line_numbers(text: str) -> list[int]:
+    """The 0-based indexes of the lines of ``text`` that declare a rule."""
+    return [i for i, line in enumerate(text.split("\n")) if line.lstrip().startswith("rule")]
+
+
+def only_rule_line(text: str, j: int, line: str | None = None) -> str:
+    """``text`` with every rule line but line ``j`` blanked, and line ``j``
+    replaced by ``line`` if given. Blanking keeps the line numbers."""
+    blank = set(rule_line_numbers(text)) - {j}
+    lines = ["" if i in blank else s for i, s in enumerate(text.split("\n"))]
+    if line is not None:
+        lines[j] = line
+    return "\n".join(lines)
+
+
+def parse_outcome(text: str):
+    """``parse_spec``'s rules as a list, or its diagnostic as the tuple
+    (code, line, col, message)."""
+    try:
+        return list(parse_spec(text).system.rules)
+    except SpecParseError as exc:
+        return (exc.code, exc.line, exc.col, str(exc))

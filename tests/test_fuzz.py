@@ -11,6 +11,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import only_rule_line, parse_outcome, rule_line_numbers
 
 from tmsr.reports import ReportError, VerdictReport, emit_report, parse_report
 from tmsr.search import bounded_survivability, realizability
@@ -63,13 +64,48 @@ def test_parse_spec_on_spec_characters(text):
     SPEC_CHARS,
 )
 def test_parse_spec_on_mutated_drone_spec(pos, op, ch):
+    _parse_spec_or_diagnose(_mutate_char(DRONE_SPEC, pos, op, ch))
+
+
+def _mutate_char(text: str, pos: int, op: str, ch: str) -> str:
     if op == "delete":
-        text = DRONE_SPEC[:pos] + DRONE_SPEC[pos + 1 :]
-    elif op == "replace":
-        text = DRONE_SPEC[:pos] + ch + DRONE_SPEC[pos + 1 :]
+        return text[:pos] + text[pos + 1 :]
+    if op == "replace":
+        return text[:pos] + ch + text[pos + 1 :]
+    return text[:pos] + ch + text[pos:]
+
+
+# A greedy one-drone spec: its rule lines differ in a few constants, so most
+# late lines repeat the left side, right side and guard of earlier lines.
+GREEDY_SPEC = print_spec(gen_drone(DroneParams(recency=3)))
+GREEDY_RULE_LINES = rule_line_numbers(GREEDY_SPEC)
+
+
+@pytest.fixture(scope="module")
+def greedy_rules_by_line():
+    return {j: parse_outcome(only_rule_line(GREEDY_SPEC, j)) for j in GREEDY_RULE_LINES}
+
+
+@FUZZ
+@given(
+    data=st.data(),
+    j=st.sampled_from(GREEDY_RULE_LINES[len(GREEDY_RULE_LINES) // 2 :]),
+    op=st.sampled_from(["delete", "replace", "insert"]),
+    ch=SPEC_CHARS,
+)
+def test_mutated_rule_line_parses_as_if_alone(greedy_rules_by_line, data, j, op, ch):
+    # The whole spec gives the rules of every other line and what the
+    # mutated line gives alone, or that line's diagnostic.
+    lines = GREEDY_SPEC.split("\n")
+    line = _mutate_char(lines[j], data.draw(st.integers(0, len(lines[j]) - 1)), op, ch)
+    whole = parse_outcome("\n".join(lines[:j] + [line] + lines[j + 1 :]))
+    alone = parse_outcome(only_rule_line(GREEDY_SPEC, j, line))
+    if isinstance(alone, tuple):
+        assert whole == alone
     else:
-        text = DRONE_SPEC[:pos] + ch + DRONE_SPEC[pos:]
-    _parse_spec_or_diagnose(text)
+        before = [r for i in GREEDY_RULE_LINES if i < j for r in greedy_rules_by_line[i]]
+        after = [r for i in GREEDY_RULE_LINES if i > j for r in greedy_rules_by_line[i]]
+        assert whole == before + alone + after
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import pytest
+from support import only_rule_line, parse_outcome, rule_line_numbers
 
 from tmsr import (
     Configuration,
@@ -11,6 +12,7 @@ from tmsr.scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_t
 from tmsr.specfile import (
     HEADER,
     SpecParseError,
+    SpecParser,
     parse_fact_text,
     parse_spec,
     parse_term_text,
@@ -214,6 +216,7 @@ PRE = (
     "pred Dr : Id Nat Nat Nat\npred P : Id Nat Nat\n"
 )
 INIT = "init: Time@0, P(p1,0,1)@0\n"
+LATE_ERROR = "params: k=4, depth=3\n"
 GOOD_RULE = (
     'rule "m": Time@T, P(p1,0,1)@T1 | T = T1 + 1 -> '
     "Time@T, P(p1,0,1)@T1, Dr(d1,0,1,1)@(T+1)"
@@ -268,6 +271,19 @@ MALFORMED_SPECS = {
     + 'rule "m": Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1 -> '
     + "Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1\n"
     + INIT,
+    # Only "\n" ends a line (a "\r" before it is dropped); any other line
+    # break is a stray character, and "\f", "\v" and "\r" are blanks.
+    "line-separator": PRE + INIT[:-1] + "\u2028\n" + LATE_ERROR,
+    "paragraph-separator": PRE + INIT[:-1] + "\u2029\n" + LATE_ERROR,
+    "next-line": PRE + INIT[:-1] + "\x85\n" + LATE_ERROR,
+    "file-separator": PRE + "init: Time@0,\x1c P(p1,0,1)@0\n" + LATE_ERROR,
+    "group-separator": PRE + "\x1d" + INIT + LATE_ERROR,
+    "record-separator": PRE + INIT + "params: k=4,\x1edepth=3\n",
+    "form-feed-at-end": PRE + INIT[:-1] + "\f\n" + LATE_ERROR,
+    "vertical-tab-at-end": PRE + INIT[:-1] + "\v\n" + LATE_ERROR,
+    "form-feed-and-vertical-tab-in-line": PRE + INIT + "params:\fk=4,\vdepth=3\n",
+    "crlf-line-ends": (PRE + INIT + LATE_ERROR).replace("\n", "\r\n"),
+    "carriage-return-in-line": PRE + INIT + "params: k=4,\rdepth=3\n",
 }
 MALFORMED_FACTS = {
     "fact-not-ground": "P(X,0,1)",
@@ -331,6 +347,22 @@ DIAGNOSTICS = {
         38,
         "7:38: [sort] variable 'X' used at sorts 'Id' and 'Nat'",
     ),
+    "line-separator": ("syntax", 7, 26, "7:26: [syntax] unexpected character '\\u2028'"),
+    "paragraph-separator": ("syntax", 7, 26, "7:26: [syntax] unexpected character '\\u2029'"),
+    "next-line": ("syntax", 7, 26, "7:26: [syntax] unexpected character '\\x85'"),
+    "file-separator": ("syntax", 7, 14, "7:14: [syntax] unexpected character '\\x1c'"),
+    "group-separator": ("syntax", 7, 1, "7:1: [syntax] unexpected character '\\x1d'"),
+    "record-separator": ("syntax", 8, 13, "8:13: [syntax] unexpected character '\\x1e'"),
+    "form-feed-at-end": ("params", 8, 14, "8:14: [params] unknown parameter 'depth'"),
+    "vertical-tab-at-end": ("params", 8, 14, "8:14: [params] unknown parameter 'depth'"),
+    "form-feed-and-vertical-tab-in-line": (
+        "params",
+        8,
+        14,
+        "8:14: [params] unknown parameter 'depth'",
+    ),
+    "crlf-line-ends": ("params", 8, 14, "8:14: [params] unknown parameter 'depth'"),
+    "carriage-return-in-line": ("params", 8, 14, "8:14: [params] unknown parameter 'depth'"),
     "fact-not-ground": ("syntax", 1, 0, "1:0: [syntax] fact is not ground"),
     "fact-trailing": ("syntax", 1, 11, "1:11: [syntax] trailing input 'P'"),
     "fact-stray": ("syntax", 1, 10, "1:10: [syntax] unexpected character '!'"),
@@ -408,6 +440,19 @@ class TestRoundTrips:
         assert again.ticks == spec.ticks
         assert print_spec(again) == text
 
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_each_rule_line_yields_what_it_yields_alone(self, name):
+        # A line may take segments stored from earlier lines of the parse;
+        # alone, with every other rule line blanked, it takes none.
+        text = print_spec(self.SPECS[name]())
+        rules = parse_spec(text).system.rules
+        i = 0
+        for j in rule_line_numbers(text):
+            alone = parse_spec(only_rule_line(text, j)).system.rules
+            assert alone and rules[i : i + len(alone)] == alone
+            i += len(alone)
+        assert i == len(rules)
+
 
 class TestFactInterning:
     """Within one parse, tokens that spelled a flat ground fact parse to
@@ -470,3 +515,74 @@ init: Time@0, F(3)@0, U(a)@0, Q@0
         with pytest.raises(SpecParseError) as err:
             parse_spec(text)
         assert "variable 'X' used at sorts 'Id' and 'Nat'" in str(err.value)
+
+
+class TestRuleSegmentMemo:
+    """Within one parse, a rule line whose left side and right side, and
+    whose guard, parsed before (on lines that parsed in full) takes them as
+    they are; any other line is parsed from its tokens. Either way a line
+    gives what it gives with no line like it before it: the same rules or
+    the same diagnostic."""
+
+    # name -> (earlier rule lines, the line, whether the line takes stored
+    # segments, the diagnostic's code or None if the line parses)
+    LOOKALIKES = {
+        "token-before-name": (
+            [GOOD_RULE],
+            GOOD_RULE.replace('rule "m"', 'rule x "m"'),
+            False,
+            "syntax",
+        ),
+        "stored-guard-variable-unbound": (
+            [GOOD_RULE, 'rule "g": Time@T, Dr(d1,0,1,1)@T2 -> Time@T, Dr(d1,0,1,0)@(T+1)'],
+            'rule "u": Time@T, Dr(d1,0,1,1)@T2 | T = T1 + 1 -> Time@T, Dr(d1,0,1,0)@(T+1)',
+            True,
+            "syntax",
+        ),
+        "stored-right-side-variable-at-another-sort": (
+            ['rule "g": Time@T, P(p1,X,1)@T1 -> Time@T, P(p1,X,1)@(T+1)'],
+            'rule "s": Time@T, P(X,0,1)@T1 -> Time@T, P(p1,X,1)@(T+1)',
+            False,
+            "sort",
+        ),
+        "bar-with-empty-guard": (
+            ['rule "g": Time@T, P(p1,0,1)@T1 -> Time@T, P(p1,0,1)@T1'],
+            'rule "e": Time@T, P(p1,0,1)@T1 |-> Time@T, P(p1,0,1)@T1',
+            False,
+            "syntax",
+        ),
+        "arrow-and-bar-in-name": (
+            [GOOD_RULE],
+            GOOD_RULE.replace('rule "m"', 'rule "a->b|c"'),
+            True,
+            None,
+        ),
+        "arrow-and-bar-in-name-before-a-bad-side": (
+            [GOOD_RULE],
+            GOOD_RULE.replace('rule "m"', 'rule "a->b|c"').replace("Dr(d1,", "Ghost(d1,"),
+            False,
+            "sort",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LOOKALIKES))
+    def test_lookalike_gives_what_it_gives_alone(self, name, monkeypatch):
+        earlier, line, takes_stored, code = self.LOOKALIKES[name]
+        text = PRE + "".join(r + "\n" for r in earlier) + line + "\n" + INIT
+        j = PRE.count("\n") + len(earlier)
+        parsed_lines = []
+        from_tokens = SpecParser._parse_rule_tokens
+
+        def spy(parser, number, line_text):
+            parsed_lines.append(number)
+            return from_tokens(parser, number, line_text)
+
+        monkeypatch.setattr(SpecParser, "_parse_rule_tokens", spy)
+        together = parse_outcome(text)
+        assert (j + 1 not in parsed_lines) == takes_stored
+        monkeypatch.undo()
+        alone = parse_outcome(only_rule_line(text, j))
+        if code is None:
+            assert together[-len(alone) :] == alone and alone[0].name == "a->b|c"
+        else:
+            assert together == alone and alone[:2] == (code, j + 1)
