@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 
-from .delta import count_bound
+from .delta import count_bound, symmetric_classes
 from .reports import (
     TOOL_VERSION,
     ReportError,
@@ -58,8 +58,10 @@ OUTCOME_EXIT = {HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNKNOWN: EXIT_UNKNOWN}
 
 
 def _read(path: str) -> str:
+    """The file's text as stored: no newline translation, so a spec file
+    reads exactly as ``parse_spec`` and the input digest see it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise TmsrError(f"cannot read {path}: {exc}") from None
@@ -124,6 +126,11 @@ def _cmd_check(args) -> int:
     dmax = compute_dmax(sys_, spec.init, spec.critical)
     print(f"dmax: {dmax}")
     print(f"fact size bound k: {sys_.max_fact_size}")
+    classes = symmetric_classes(sys_, spec.critical)
+    print(
+        "symmetric constants: "
+        + ("; ".join(" ".join(members) for members in classes) or "none")
+    )
     print(
         f"alphabet: {sys_.signature.predicate_count} predicates, "
         f"{sys_.signature.symbol_count} constant/function symbols"

@@ -9,14 +9,25 @@ transition system.
 Each class is represented by its normal member, built by
 :func:`abstract`: the earliest stamp is 0 and every gap above the bound
 is exactly one more than the bound. Two configurations are equivalent
-iff their normal members are equal. The unbounded searches explore
-concrete configurations and key their visited sets on the normal member;
-lasso validation compares the cycle endpoints' normal members.
+iff their normal members are equal.
+
+Interchangeable constants reduce the quotient further (scalarset
+symmetry, Ip & Dill 1996): :func:`symmetric_classes` finds the classes
+of constants that every renaming within a class maps onto the same rules
+and critical pairs, and the key function from :func:`make_orbit_key`
+keys a normal member on its orbit under those renamings. The unbounded
+searches explore concrete configurations and key their visited sets on
+the normal member, or on its orbit key when there are classes; lasso
+validation compares the cycle endpoints with the same key.
 """
 
 from __future__ import annotations
 
-from .terms import Configuration, TimestampedFact
+from collections import Counter
+from collections.abc import Callable, Hashable
+
+from .rules import CriticalSpec, System
+from .terms import NAT, App, Configuration, Const, Fact, Term, TimestampedFact, Var
 
 
 def abstract(c: Configuration, dmax: int) -> Configuration:
@@ -54,3 +65,191 @@ def count_bound(
     if min(m, k, dmax, j, e) < 1:
         raise ValueError("all counting-bound arguments must be at least 1")
     return (dmax + 2) ** (m - 1) * j**m * (e + 2 * m * k) ** (m * k)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry: interchangeable constants
+
+
+def _consts(t: Term, out: set[str]) -> None:
+    if isinstance(t, Const):
+        out.add(t.name)
+    elif isinstance(t, App):
+        for a in t.args:
+            _consts(a, out)
+
+
+def _rename(t: Term, mapping: dict[str, Term]) -> Term:
+    """t with each constant named in mapping replaced by its image."""
+    if isinstance(t, Const):
+        return mapping.get(t.name, t)
+    if isinstance(t, App):
+        return App(t.fn, tuple(_rename(x, mapping) for x in t.args))
+    return t
+
+
+def symmetric_classes(sys: System, cs: CriticalSpec) -> tuple[tuple[str, ...], ...]:
+    """The classes of interchangeable constants, each in declaration order
+    and the classes in the order of their first members: sets of at least
+    two constants of one sort other than Nat such that swapping any two
+    of them maps the multiset of rules (names ignored) and the multiset of
+    critical pairs onto themselves.
+
+    Soundness. Every renaming pi that permutes the constants within
+    classes is then an automorphism of the transition system: pi maps an
+    instance of a rule r at c to an instance of the rule pi(r) at pi(c),
+    and pi(r) is a rule, so c -> c' iff pi(c) -> pi(c'); c is critical
+    iff pi(c) is; and pi commutes with :func:`abstract`, which looks at
+    stamps only. Configurations in one orbit therefore have the same
+    future up to renaming: the same distance to a critical state, and a
+    compliant cycle through one gives one through the other. That is all
+    the searches need, so the initial configuration need not be
+    symmetric.
+
+    Each rule is compared as a tuple in pattern order, variable names
+    included; two rules equal up to the order of their patterns count as
+    different, which may miss a symmetry but never reports a false one.
+    Accepted swaps form an equivalence, since (a c) = (a b)(b c)(a b), so
+    each constant is tested against one member of each class found so
+    far, and transpositions generate every permutation of a class. Pattern
+    facts are interned once, so a test is one pass over the rules."""
+    by_sort: dict[str, list[str]] = {}
+    for name, sort in sys.signature.constants.items():
+        if sort != NAT:
+            by_sort.setdefault(sort, []).append(name)
+    sorts = [names for names in by_sort.values() if len(names) >= 2]
+    if not sorts:
+        return ()
+
+    # A rule or pair becomes a tuple of ints: the interned id of its shape
+    # (everything but its name and pattern facts), then the ids of its
+    # pattern facts in order.
+    ids: dict = {}
+    intern = ids.setdefault
+
+    def item(shape: tuple, facts: list[Fact]) -> tuple[int, ...]:
+        out = [intern(shape, len(ids))]
+        for f in facts:
+            out.append(intern(f, len(ids)))
+        return tuple(out)
+
+    rules = []
+    for r in sys.rules:
+        patterns = r.preserved + r.consumed
+        shape = (
+            r.time_var, r.guard, len(r.preserved), len(r.consumed),
+            *[p.tvar for p in patterns], *[cf.offset for cf in r.created],
+        )
+        rules.append(item(shape, [p.fact for p in patterns] + [cf.fact for cf in r.created]))
+    pairs = [
+        item((pair.guard, *[p.tvar for p in pair.patterns]), [p.fact for p in pair.patterns])
+        for pair in cs.pairs
+    ]
+    users: dict[str, list[Fact]] = {}
+    for f in ids:
+        if isinstance(f, Fact):
+            mentioned: set[str] = set()
+            for t in f.args:
+                _consts(t, mentioned)
+            for name in mentioned:
+                users.setdefault(name, []).append(f)
+
+    def onto_itself(items: list[tuple[int, ...]], image: dict[int, int]) -> bool:
+        domain = image.keys()
+        moved = [item for item in items if not domain.isdisjoint(item)]
+        return Counter(moved) == Counter(tuple(map(image.get, item, item)) for item in moved)
+
+    def swappable(a: str, b: str) -> bool:
+        swap = {a: Const(b), b: Const(a)}
+        image = {}
+        for f in users.get(a, []) + users.get(b, []):
+            j = ids.get(Fact(f.pred, tuple(_rename(t, swap) for t in f.args)))
+            if j is None:
+                return False  # no rule or pair holds the renamed fact
+            image[ids[f]] = j
+        return onto_itself(rules, image) and onto_itself(pairs, image)
+
+    order = {name: i for i, name in enumerate(sys.signature.constants)}
+    classes = []
+    for names in sorts:
+        found: list[list[str]] = []
+        for name in names:
+            for members in found:
+                if swappable(members[0], name):
+                    members.append(name)
+                    break
+            else:
+                found.append([name])
+        classes += [tuple(members) for members in found if len(members) >= 2]
+    classes.sort(key=lambda members: order[members[0]])
+    return tuple(classes)
+
+
+# Stands for the class constant in a fact; configurations are ground, so
+# no fact of theirs holds it.
+_HOLE = Var("", "")
+
+
+def make_orbit_key(
+    classes: tuple[tuple[str, ...], ...]
+) -> Callable[[Configuration], Hashable]:
+    """The orbit key of configurations under the renamings within
+    ``classes``: equal for two configurations only if such a renaming
+    maps one onto the other, and equal for all images of c unless a fact
+    of c names two class constants.
+
+    The key is a tuple: the (stamp, token) entries of the facts that name
+    no class constant, in c's order, then per class the sorted multiset of
+    its constants' blocks. A constant's block is the sorted (stamp, token)
+    entries of the facts that name it. A fact's token is its repr, with
+    the class constant it names replaced by a hole; unlike the printed
+    text, a repr tells every two terms apart, and strings still order.
+    When a fact names two class constants the key is c itself, which is
+    no tuple and so equals no other key. Each returned function remembers
+    the token of every fact it meets, so make one per search."""
+    members_of = {k for members in classes for k in members}
+    roles: dict[Fact, tuple[str | None, str | None]] = {}
+
+    def role(fact: Fact) -> tuple[str | None, str | None]:
+        """(the class constant fact names, its token); the constant is
+        None when it names none, and the token None when it names two."""
+        mentioned: set[str] = set()
+        for t in fact.args:
+            _consts(t, mentioned)
+        mentioned &= members_of
+        if len(mentioned) > 1:
+            return None, None
+        if not mentioned:
+            return None, repr(fact)
+        (k,) = mentioned
+        hole = {k: _HOLE}
+        return k, repr(Fact(fact.pred, tuple(_rename(t, hole) for t in fact.args)))
+
+    def key(c: Configuration) -> Hashable:
+        free = []
+        blocks: dict[str, list[tuple[int, str]]] = {}
+        for tf in c.facts:
+            fact = tf.fact
+            got = roles.get(fact)
+            if got is None:
+                got = roles[fact] = role(fact)
+            k, token = got
+            if token is None:
+                return c
+            if k is None:
+                free.append((tf.ts, token))
+            elif k in blocks:
+                blocks[k].append((tf.ts, token))
+            else:
+                blocks[k] = [(tf.ts, token)]
+        out = [tuple(free)]
+        for members in classes:
+            multiset = []
+            for k in members:
+                block = blocks.get(k, ())
+                multiset.append(tuple(block) if len(block) < 2 else tuple(sorted(block)))
+            multiset.sort()
+            out.append(tuple(multiset))
+        return tuple(out)
+
+    return key

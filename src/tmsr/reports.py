@@ -2,7 +2,9 @@
 
 Schema (stable): mode, outcome, optional ticks, statistics (states,
 peak_frontier, max_depth, optional depth_cap, elapsed_ms,
-l_sigma_decimal), init (canonical config array), trace (step array,
+l_sigma_decimal, and in unbounded modes symmetry: the classes of
+interchangeable constants the states were counted up to, as lists of
+names), init (canonical config array), trace (step array,
 present for bounded witnesses and for counterexamples), lasso (stem and
 cycle step arrays, present for unbounded holds), optional critical_pair
 and note, version and input digest. Configurations always serialize in
@@ -91,6 +93,8 @@ def report_json(report: VerdictReport) -> dict:
     }
     if v.stats.depth_cap is not None:
         stats["depth_cap"] = v.stats.depth_cap
+    if v.stats.symmetry is not None:
+        stats["symmetry"] = [list(members) for members in v.stats.symmetry]
     out["statistics"] = stats
 
     trace = None

@@ -6,8 +6,11 @@ configurations from the initial one, so witnesses and counterexamples are
 concrete traces. Unbounded modes key their visited sets on the normal
 member of each configuration's class in the truncated-difference
 quotient (``delta.abstract``), which is finite for balanced systems and
-bisimilar to the concrete graph. Bounded modes key them on
-(configuration, ticks) and cut traces exactly at the n-th clock advance.
+bisimilar to the concrete graph; when the spec has interchangeable
+constants (``delta.symmetric_classes``), on the orbit of that normal
+member under their renamings (``delta.make_orbit_key``). Bounded modes key
+them on (configuration, ticks) and cut traces exactly at the n-th clock
+advance.
 
 Realizability is the depth-first search. Lazy sampling gives every state
 a successor, so an infinite compliant trace exists iff a compliant cycle
@@ -33,7 +36,7 @@ import time as _time
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .delta import abstract, count_bound
+from .delta import abstract, count_bound, make_orbit_key, symmetric_classes
 from .rules import (
     CriticalSpec,
     Rule,
@@ -100,8 +103,10 @@ class Trace:
 @dataclass(frozen=True)
 class Lasso:
     """Finite witness of an infinite compliant trace: a stem into a cycle
-    of the quotient graph. The cycle's endpoints are equivalent (equal
-    normal members), not necessarily equal configurations."""
+    of the quotient graph. The cycle's endpoints have equal unbounded keys
+    (see ``_unbounded_key``), and need not be equal configurations: the
+    end may be a renamed copy of the start, and repeating the cycle under
+    that renaming goes on forever."""
 
     stem: Trace
     cycle: Trace
@@ -121,6 +126,9 @@ class SearchStats:
     l_sigma_decimal: str | None = None
     max_depth: int = 0
     depth_cap: int | None = None
+    # The classes of interchangeable constants the unbounded keys reduce
+    # by (empty when there are none); None in bounded modes.
+    symmetry: tuple[tuple[str, ...], ...] | None = None
 
 
 @dataclass
@@ -182,12 +190,24 @@ class _Clock:
         return (_time.monotonic() - self.start) * 1000.0
 
 
+def _unbounded_key(
+    classes: tuple[tuple[str, ...], ...], dmax: int
+) -> Callable[[Configuration], Hashable]:
+    """The visited-set key of the unbounded searches: the normal member
+    of the quotient class, or its orbit key when constants are
+    interchangeable. Orbits keep distances and cycles (see
+    ``symmetric_classes``), so the verdicts are those of the plain key."""
+    if not classes:
+        return lambda c: abstract(c, dmax)
+    orbit_key = make_orbit_key(classes)
+    return lambda c: orbit_key(abstract(c, dmax))
+
+
 @dataclass
 class _Search:
     """What the searches of one verdict share. ``key`` maps a configuration
-    and its tick count to the visited-set key: the normal member of its
-    quotient class (``abstract``) when unbounded (``n`` is None), the pair
-    itself under a tick budget."""
+    and its tick count to the visited-set key: ``_unbounded_key`` when
+    unbounded (``n`` is None), the pair itself under a tick budget."""
 
     sys: System
     init: Configuration
@@ -226,6 +246,8 @@ def _decide(
         sys.signature.symbol_count,
     )
     stats = SearchStats(l_sigma_decimal=str(l_sigma), depth_cap=cap)
+    if n is None:
+        stats.symmetry = symmetric_classes(sys, cs)
 
     def done(outcome: str, **found) -> Verdict:
         stats.elapsed_ms = clock.elapsed_ms()
@@ -242,7 +264,8 @@ def _decide(
         )
 
     if n is None:
-        key = lambda config, ticks: abstract(config, dmax)
+        unbounded = _unbounded_key(stats.symmetry, dmax)
+        key = lambda config, ticks: unbounded(config)
         no_run = "no compliant cycle reachable"
     else:
         key = lambda config, ticks: (config, ticks)
@@ -526,7 +549,9 @@ def validate_lasso(
     dmax: int,
 ) -> ValidationResult:
     """Certify a realizability witness: stem and cycle replay compliantly,
-    the cycle endpoints are equivalent and the cycle advances the clock."""
+    the cycle endpoints have equal unbounded keys and the cycle advances
+    the clock. The symmetry classes of the key are found again from the
+    spec, so a report cannot choose them."""
     got = validate_trace(sys, cs, lasso.stem)
     if not got:
         return got
@@ -537,7 +562,8 @@ def validate_lasso(
         return got
     if not lasso.cycle.steps:
         return ValidationResult(False, None, "empty cycle")
-    if abstract(lasso.cycle.init, dmax) != abstract(lasso.cycle.final, dmax):
+    key = _unbounded_key(symmetric_classes(sys, cs), dmax)
+    if key(lasso.cycle.init) != key(lasso.cycle.final):
         return ValidationResult(False, None, "cycle endpoints are not equivalent")
     if not any(s.label == TICK_LABEL for s in lasso.cycle.steps):
         return ValidationResult(False, None, "cycle contains no clock advance")

@@ -7,7 +7,9 @@ exhaustively, the reference scan runs every rule through a plain
 backtracking matcher, the reference rewrite is multiset arithmetic on
 the fact list, and satisfiability / machine termination are
 decided by direct enumeration and simulation. A rule line's reference
-parse is the spec with every other rule line blanked.
+parse is the spec with every other rule line blanked. A renaming of
+constants is checked against the rules and critical pairs by renaming
+every term and comparing the multisets.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import networkx as nx
 
+import tmsr.search
 from tmsr import (
     App,
     Configuration,
@@ -44,7 +49,7 @@ from tmsr import (
 )
 from tmsr.rules import GREATER
 from tmsr.specfile import SpecParseError, parse_spec
-from tmsr.terms import TIME, fact_vars, term_text
+from tmsr.terms import NAT, TIME, fact_vars, term_text
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +485,76 @@ def parse_outcome(text: str):
         return list(parse_spec(text).system.rules)
     except SpecParseError as exc:
         return (exc.code, exc.line, exc.col, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Renamings of constants
+
+
+def rename_term(t, mapping: dict[str, str]):
+    if isinstance(t, Const):
+        return Const(mapping.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(t.fn, tuple(rename_term(a, mapping) for a in t.args))
+    return t
+
+
+def rename_fact(f: Fact, mapping: dict[str, str]) -> Fact:
+    return Fact(f.pred, tuple(rename_term(a, mapping) for a in f.args))
+
+
+def _rule_shape(r, mapping):
+    """Everything of a rule but its name, renamed."""
+    return (
+        r.time_var,
+        tuple((rename_fact(p.fact, mapping), p.tvar) for p in r.preserved),
+        tuple((rename_fact(p.fact, mapping), p.tvar) for p in r.consumed),
+        tuple((rename_fact(cf.fact, mapping), cf.offset) for cf in r.created),
+        r.guard,
+    )
+
+
+def _pair_shape(pair, mapping):
+    return (tuple((rename_fact(p.fact, mapping), p.tvar) for p in pair.patterns), pair.guard)
+
+
+def renaming_preserves(sys: System, cs: CriticalSpec, mapping: dict[str, str]) -> bool:
+    """Whether renaming by ``mapping`` maps the multiset of rules (names
+    ignored) and the multiset of critical pairs onto themselves."""
+    return Counter(_rule_shape(r, mapping) for r in sys.rules) == Counter(
+        _rule_shape(r, {}) for r in sys.rules
+    ) and Counter(_pair_shape(p, mapping) for p in cs.pairs) == Counter(
+        _pair_shape(p, {}) for p in cs.pairs
+    )
+
+
+def swaps_preserving(sys: System, cs: CriticalSpec) -> set[frozenset[str]]:
+    """Every pair of constants of one sort other than Nat whose swap maps
+    the rules and critical pairs onto themselves."""
+    out = set()
+    constants = sys.signature.constants
+    for a, b in itertools.combinations(constants, 2):
+        if constants[a] == constants[b] != NAT and renaming_preserves(sys, cs, {a: b, b: a}):
+            out.add(frozenset((a, b)))
+    return out
+
+
+def turn_taking_spec(back_offset: int = 1) -> str:
+    """Two tokens hand a turn back and forth, one clock advance per pass.
+    With ``back_offset`` 1 the tokens are interchangeable, and the
+    reduced search closes its lasso after half the loop; with 2 they are
+    not."""
+    return (
+        "tmsr-spec 1\nsort Tok\nconst a : Tok\nconst b : Tok\npred Turn : Tok\n"
+        'rule "pass-a": Time@T, Turn(a)@T1 -> Time@T, Turn(b)@(T+1)\n'
+        f'rule "pass-b": Time@T, Turn(b)@T1 -> Time@T, Turn(a)@(T+{back_offset})\n'
+        "init: Time@0, Turn(a)@0\n"
+    )
+
+
+@contextmanager
+def symmetry_off():
+    """Run the searches and replay unreduced: no constant is found
+    interchangeable."""
+    with mock.patch.object(tmsr.search, "symmetric_classes", lambda sys, cs: ()):
+        yield

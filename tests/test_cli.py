@@ -5,9 +5,11 @@ import re
 
 import pytest
 
+from support import turn_taking_spec
+
 from tmsr.cli import main
-from tmsr.reports import parse_report
-from tmsr.specfile import parse_spec
+from tmsr.reports import input_digest, parse_report
+from tmsr.specfile import SpecParseError, parse_spec
 
 TICK_ONLY = "tmsr-spec 1\ninit: Time@0\nparams: k=1\n"
 
@@ -49,6 +51,49 @@ class TestCheck:
 
     def test_missing_file_exits_3(self, capsys):
         assert main(["check", "/nonexistent.spec"]) == 3
+
+    def test_symmetric_constants_listed(self, tick_spec, tmp_path, capsys):
+        assert main(["check", str(tick_spec)]) == 0
+        assert "symmetric constants: none\n" in capsys.readouterr().out
+        spec = tmp_path / "d.spec"
+        main(["gen", "drone", "--drones", "2", "--strategy", "free", "--out", str(spec)])
+        capsys.readouterr()
+        assert main(["check", str(spec)]) == 0
+        assert "symmetric constants: d1 d2\n" in capsys.readouterr().out
+
+
+class TestSpecFileBytes:
+    """Commands read a spec file exactly as stored, so they see what
+    ``parse_spec`` sees in its text and digest that text."""
+
+    # A lone carriage return inside line 4 is a blank to parse_spec.
+    LONE_CR = "tmsr-spec 1\npred P\ninit: Time@0, P@0\nparams: k=4,\rdepth=3\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["verify", "--mode", "realizability"]],
+        ids=["check", "verify"],
+    )
+    def test_lone_carriage_return_gives_the_parse_spec_diagnostic(self, tmp_path, capsys, argv):
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(self.LONE_CR)
+        assert (exc.value.line, exc.value.col, exc.value.code) == (4, 14, "params")
+        spec = tmp_path / "cr.spec"
+        spec.write_bytes(self.LONE_CR.encode())
+        assert main([argv[0], str(spec), *argv[1:]]) == 3
+        assert capsys.readouterr().err == f"input error: {exc.value}\n"
+
+    def test_crlf_spec_report_replays_against_that_file(self, tmp_path, capsys):
+        spec = tmp_path / "d.spec"
+        main(["gen", "drone", "--recency", "2", "--out", str(spec)])
+        text = spec.read_text().replace("\n", "\r\n")
+        spec.write_bytes(text.encode())
+        rep = tmp_path / "rep.json"
+        assert main(["verify", str(spec), "--mode", "survivability", "--ticks", "8", "--out", str(rep)]) == 1
+        assert json.loads(rep.read_text())["input_digest"] == input_digest(text)
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 0
+        assert capsys.readouterr().out == "trace validates\n"
 
 
 class TestVerify:
@@ -118,6 +163,20 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: rule 'grow' created N(2) of size 4, exceeding the bound 3\n"
         )
+
+    def test_statistics_name_the_symmetry_of_unbounded_modes(self, tmp_path):
+        spec = tmp_path / "t.spec"
+        spec.write_text(turn_taking_spec())
+        stats = {}
+        for ticks in ([], ["--ticks", "2"]):
+            out = tmp_path / "rep.json"
+            assert main(["verify", str(spec), "--mode", "realizability", *ticks, "--out", str(out)]) == 0
+            stats[bool(ticks)] = json.loads(out.read_text())["statistics"]
+        assert stats[False]["symmetry"] == [["a", "b"]]
+        assert "symmetry" not in stats[True]
+        spec.write_text(TICK_ONLY)
+        main(["verify", str(spec), "--mode", "survivability", "--out", str(out)])
+        assert json.loads(out.read_text())["statistics"]["symmetry"] == []
 
     def test_reports_deterministic_up_to_timing(self, tmp_path):
         spec = tmp_path / "d.spec"
@@ -212,6 +271,26 @@ class TestGenAndReplay:
         capsys.readouterr()
         assert main(["replay", str(spec), str(rep)]) == 1
         assert "trace INVALID" in capsys.readouterr().out
+
+    def test_renamed_cycle_replays_only_under_the_symmetry(self, tmp_path, capsys):
+        # The reduced search closes the turn-taking loop after half of it,
+        # on a copy of the start with the tokens swapped.
+        spec = tmp_path / "t.spec"
+        spec.write_text(turn_taking_spec())
+        rep = tmp_path / "rep.json"
+        assert main(["verify", str(spec), "--mode", "realizability", "--out", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert [st["label"] for st in doc["lasso"]["cycle"]] == ["pass-a", "tick"]
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 0
+        assert capsys.readouterr().out == "trace validates\n"
+        # Against a spec whose pass back takes two clock advances the same
+        # steps replay, but the swap is no symmetry, so the ends differ.
+        spec.write_text(turn_taking_spec(back_offset=2))
+        del doc["input_digest"]
+        rep.write_text(json.dumps(doc))
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert capsys.readouterr().out == "trace INVALID: cycle endpoints are not equivalent\n"
 
     def test_tm_chain(self, tmp_path):
         machine = tmp_path / "m.json"

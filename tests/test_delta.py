@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from support import normalize as reference_normalize
-from support import random_progressive_system
+from support import random_progressive_system, rename_fact, swaps_preserving
 
 from tmsr import (
     Configuration,
@@ -19,8 +20,11 @@ from tmsr import (
     enabled,
     is_critical,
     lazy_successors,
+    parse_spec,
 )
+from tmsr.delta import make_orbit_key, symmetric_classes
 from tmsr.rules import GREATER
+from tmsr.scenarios import Cnf3, DroneParams, gen_3sat, gen_drone
 from tmsr.terms import TIME, fact_text
 
 
@@ -80,6 +84,166 @@ class TestAbstract:
             )
         )
         assert abstract(squeezed, 4) != abstract(TWO_DRONE_CONFIG, 4)
+
+
+def tokens_spec(decls: str, *rules: str, critical: str = "") -> str:
+    return (
+        "tmsr-spec 1\nsort Tok\n" + decls + "\n"
+        + "".join(f'rule "r{i}": {r}\n' for i, r in enumerate(rules))
+        + "init: Time@0\n" + critical
+    )
+
+
+TWO_TOKENS = "const a : Tok\nconst b : Tok\npred Turn : Tok"
+
+
+def classes_of(text: str):
+    spec = parse_spec(text)
+    return symmetric_classes(spec.system, spec.critical)
+
+
+class TestSymmetricClasses:
+    def test_turn_taking_tokens_are_interchangeable(self):
+        text = tokens_spec(
+            TWO_TOKENS,
+            "Time@T, Turn(a)@T1 -> Time@T, Turn(b)@(T+1)",
+            "Time@T, Turn(b)@T1 -> Time@T, Turn(a)@(T+1)",
+        )
+        assert classes_of(text) == (("a", "b"),)
+
+    def test_one_asymmetric_rule_gives_no_class(self):
+        text = tokens_spec(
+            TWO_TOKENS,
+            "Time@T, Turn(a)@T1 -> Time@T, Turn(b)@(T+1)",
+            "Time@T, Turn(b)@T1 -> Time@T, Turn(a)@(T+2)",
+        )
+        assert classes_of(text) == ()
+
+    def test_critical_pairs_must_map_onto_themselves(self):
+        rules = (
+            "Time@T, Turn(a)@T1 -> Time@T, Turn(b)@(T+1)",
+            "Time@T, Turn(b)@T1 -> Time@T, Turn(a)@(T+1)",
+        )
+        lopsided = 'critical "a-late": { Turn(a)@Ta, Time@T | T > Ta + 1 }\n'
+        assert classes_of(tokens_spec(TWO_TOKENS, *rules, critical=lopsided)) == ()
+        either = 'critical "late": { Turn(X)@Tx, Time@T | T > Tx + 1 }\n'
+        assert classes_of(tokens_spec(TWO_TOKENS, *rules, critical=either)) == (("a", "b"),)
+
+    def test_constant_nested_in_a_function_term(self):
+        decls = TWO_TOKENS + "\nsort W\nfn box : Tok -> W\npred Held : W"
+        swapped = (
+            "Time@T, Held(box(a))@T1 -> Time@T, Held(box(b))@(T+1)",
+            "Time@T, Held(box(b))@T1 -> Time@T, Held(box(a))@(T+1)",
+        )
+        assert classes_of(tokens_spec(decls, *swapped)) == (("a", "b"),)
+        one_way = ("Time@T, Held(box(a))@T1 -> Time@T, Held(box(b))@(T+1)",)
+        assert classes_of(tokens_spec(decls, *one_way)) == ()
+
+    def test_two_independent_classes(self):
+        # a and b pass a token at offset 1, c and d at offset 2: each pair
+        # is interchangeable, no constant across the pairs.
+        decls = "const a : Tok\nconst c : Tok\nconst b : Tok\nconst d : Tok\npred Turn : Tok"
+        text = tokens_spec(
+            decls,
+            "Time@T, Turn(a)@T1 -> Time@T, Turn(b)@(T+1)",
+            "Time@T, Turn(b)@T1 -> Time@T, Turn(a)@(T+1)",
+            "Time@T, Turn(c)@T1 -> Time@T, Turn(d)@(T+2)",
+            "Time@T, Turn(d)@T1 -> Time@T, Turn(c)@(T+2)",
+        )
+        assert classes_of(text) == (("a", "b"), ("c", "d"))
+        spec = parse_spec(text)
+        assert swaps_preserving(spec.system, spec.critical) == {
+            frozenset("ab"), frozenset("cd")
+        }
+
+    def test_unused_constants_are_interchangeable_and_nat_is_not_a_sort(self):
+        assert classes_of(tokens_spec("const a : Tok\nconst b : Tok\nconst c : Tok")) == (
+            ("a", "b", "c"),
+        )
+        assert classes_of(tokens_spec("const a : Tok")) == ()
+
+    def test_drone_specs(self):
+        for drones, strategy in [(2, "free"), (3, "free"), (2, "greedy")]:
+            spec = gen_drone(DroneParams(drones=drones, recency=4, strategy=strategy))
+            want = (tuple(f"d{i + 1}" for i in range(drones)),)
+            assert symmetric_classes(spec.system, spec.critical) == want
+        one = gen_drone(DroneParams(recency=4))
+        assert symmetric_classes(one.system, one.critical) == ()
+        sat = gen_3sat(Cnf3(3, ((1, -2, 3), (2, 2, -1))))
+        assert symmetric_classes(sat.system, sat.critical) == ()
+
+
+def drone(name, x, y, e):
+    return Fact("Dr", (Const(name), x, y, e))
+
+
+class TestOrbitKey:
+    CLASSES = (("d1", "d2"),)
+
+    def config(self, *facts):
+        return Configuration((ts(Fact("Time"), 3),) + facts)
+
+    def test_renamed_copies_share_the_key(self):
+        key = make_orbit_key(self.CLASSES)
+        c = self.config(ts(drone("d1", 0, 1, 2), 3), ts(drone("d2", 1, 1, 4), 1), ts(Fact("P", (Const("p1"), 0, 1)), 0))
+        swap = {"d1": "d2", "d2": "d1"}
+        renamed = Configuration(tuple(ts(rename_fact(tf.fact, swap), tf.ts) for tf in c.facts))
+        assert renamed != c
+        assert key(renamed) == key(c)
+
+    def test_different_orbits_differ(self):
+        key = make_orbit_key(self.CLASSES)
+        c = self.config(ts(drone("d1", 0, 1, 2), 3), ts(drone("d2", 1, 1, 4), 1))
+        # the same facts with the stamps exchanged between the drones
+        other = self.config(ts(drone("d1", 0, 1, 2), 1), ts(drone("d2", 1, 1, 4), 3))
+        assert key(other) != key(c)
+        # a constant outside the classes is never renamed
+        moved = self.config(ts(drone("d1", 0, 1, 2), 3), ts(drone("d3", 1, 1, 4), 1))
+        assert key(moved) != key(c)
+
+    def test_fact_naming_two_class_constants_falls_back_to_the_configuration(self):
+        key = make_orbit_key(self.CLASSES)
+        pair = Fact("Pair", (Const("d1"), Const("d2")))
+        c = self.config(ts(pair, 3), ts(drone("d1", 0, 1, 2), 3))
+        assert key(c) is c
+        swapped = self.config(ts(Fact("Pair", (Const("d2"), Const("d1"))), 3), ts(drone("d2", 0, 1, 2), 3))
+        assert key(swapped) is swapped and key(swapped) != key(c)
+        # the same constant twice is one constant
+        twice = self.config(ts(Fact("Pair", (Const("d1"), Const("d1"))), 3))
+        assert key(twice) == key(self.config(ts(Fact("Pair", (Const("d2"), Const("d2"))), 3)))
+
+    def test_two_classes_rename_independently(self):
+        key = make_orbit_key((("a", "b"), ("c", "d")))
+
+        def turns(*names):
+            return self.config(*(ts(Fact("Turn", (Const(n),)), t) for t, n in enumerate(names)))
+
+        assert key(turns("a", "c")) == key(turns("b", "d")) == key(turns("a", "d"))
+        assert key(turns("a", "c")) != key(turns("c", "a"))
+
+    def test_equal_keys_iff_some_renaming_maps_one_onto_the_other(self):
+        rng = random.Random(13)
+        names = ("d1", "d2", "d3")
+        key = make_orbit_key((names,))
+
+        def renamed(c, perm):
+            return Configuration(tuple(ts(rename_fact(tf.fact, perm), tf.ts) for tf in c.facts))
+
+        def random_config():
+            return self.config(*(
+                ts(drone(rng.choice(names), 0, 0, rng.randint(0, 1)), rng.randint(2, 3))
+                for _ in range(rng.randint(1, 2))
+            ))
+
+        perms = [dict(zip(names, p)) for p in itertools.permutations(names)]
+        equal = 0
+        for _ in range(300):
+            c, other = random_config(), random_config()
+            assert key(renamed(c, rng.choice(perms))) == key(c)
+            same_orbit = any(renamed(c, p) == other for p in perms)
+            assert (key(c) == key(other)) == same_orbit
+            equal += same_orbit
+        assert equal >= 10
 
 
 def random_configs():

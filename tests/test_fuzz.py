@@ -1,4 +1,5 @@
-"""Fuzzing the two input parsers: spec text and JSON reports.
+"""Fuzzing the two input parsers, spec text and JSON reports, and the
+symmetry detector.
 
 Whatever the input, ``parse_spec`` may only fail with ``SpecParseError``
 and ``parse_report`` only with ``ReportError``; the command line turns
@@ -6,15 +7,27 @@ both into exit 3. The runs are derandomized so that every test run
 checks the same inputs.
 """
 
+import dataclasses
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import only_rule_line, parse_outcome, rule_line_numbers
+from support import (
+    only_rule_line,
+    parse_outcome,
+    rename_fact,
+    renaming_preserves,
+    rule_line_numbers,
+    swaps_preserving,
+    symmetry_off,
+)
 
+from tmsr import make_system
+from tmsr.delta import symmetric_classes
 from tmsr.reports import ReportError, VerdictReport, emit_report, parse_report
-from tmsr.search import bounded_survivability, realizability
+from tmsr.search import bounded_survivability, realizability, survivability
 from tmsr.scenarios import DroneParams, gen_drone
 from tmsr.specfile import HEADER, SpecParseError, parse_spec, print_spec
 
@@ -182,3 +195,98 @@ def test_parse_report_on_mutated_report_text(drone_reports, data):
         parse_report(text[:pos] + ch + text[pos + 1 :], spec)
     except ReportError:
         pass
+
+
+# A two-drone free spec on a 2x2 grid: 80 rules, small enough to search
+# in every example. Realizability holds and survivability fails.
+FREE_SPEC = gen_drone(
+    DroneParams(drones=2, strategy="free", x_max=1, y_max=1, energy_cap=4, recency=4)
+)
+SWAP = {"d1": "d2", "d2": "d1"}
+
+
+def _mutate_fact(fact, op, value):
+    """The fact with its first drone constant swapped ("drone") or its
+    last numeral set to ``value`` ("numeral"); other facts stay."""
+    args = list(fact.args)
+    if op == "drone":
+        return rename_fact(fact, SWAP)
+    numerals = [i for i, a in enumerate(args) if isinstance(a, int)]
+    if numerals:
+        args[numerals[-1]] = value
+    return dataclasses.replace(fact, args=tuple(args))
+
+
+def _mutate_rule(rule, op, target, value):
+    if op == "rename":
+        return dataclasses.replace(rule, name=rule.name + "-x")
+    if op == "offset":
+        created = list(rule.created)
+        k = target % len(created)
+        created[k] = dataclasses.replace(created[k], offset=1 + value % 2)
+        return dataclasses.replace(rule, created=tuple(created))
+    parts = [("preserved", p) for p in range(len(rule.preserved))]
+    parts += [("consumed", p) for p in range(len(rule.consumed))]
+    parts += [("created", p) for p in range(len(rule.created))]
+    field, k = parts[target % len(parts)]
+    items = list(getattr(rule, field))
+    items[k] = dataclasses.replace(items[k], fact=_mutate_fact(items[k].fact, op, value))
+    return dataclasses.replace(rule, **{field: tuple(items)})
+
+
+def _mirror(rules, j):
+    """The position of the rule that is rule j with the drones swapped."""
+    image = rename_rule(rules[j])
+    return next(
+        i for i, r in enumerate(rules) if dataclasses.replace(r, name=image.name) == image
+    )
+
+
+def rename_rule(rule):
+    """The rule with the drones swapped in every fact."""
+    return dataclasses.replace(
+        rule,
+        preserved=tuple(dataclasses.replace(p, fact=rename_fact(p.fact, SWAP)) for p in rule.preserved),
+        consumed=tuple(dataclasses.replace(p, fact=rename_fact(p.fact, SWAP)) for p in rule.consumed),
+        created=tuple(dataclasses.replace(cf, fact=rename_fact(cf.fact, SWAP)) for cf in rule.created),
+    )
+
+
+@FUZZ
+@given(
+    j=st.integers(0, len(FREE_SPEC.system.rules) - 1),
+    op=st.sampled_from(["rename", "offset", "numeral", "drone"]),
+    target=st.integers(0, 5),
+    value=st.integers(0, 2),
+    mirrored=st.booleans(),
+)
+def test_symmetry_detector_on_mutated_free_drone_rules(j, op, target, value, mirrored):
+    # Mutate one rule, and with ``mirrored`` its drone-swapped twin the
+    # same way, which keeps the drones interchangeable.
+    rules = list(FREE_SPEC.system.rules)
+    if mirrored:
+        twin = _mirror(rules, j)
+        rules[twin] = rename_rule(_mutate_rule(rename_rule(rules[twin]), op, target, value))
+    rules[j] = _mutate_rule(rules[j], op, target, value)
+    sysm = make_system(FREE_SPEC.system.signature, rules, FREE_SPEC.system.max_fact_size)
+    cs = FREE_SPEC.critical
+    classes = symmetric_classes(sysm, cs)
+    swaps = swaps_preserving(sysm, cs)
+    assert classes in ((), (("d1", "d2"),))
+    assert bool(classes) == (frozenset(("d1", "d2")) in swaps)
+    for members in classes:
+        for a, b in itertools.combinations(members, 2):
+            assert renaming_preserves(sysm, cs, {a: b, b: a})
+    if mirrored or op == "rename":
+        assert classes
+
+    init = FREE_SPEC.init
+    for decide in (realizability, survivability):
+        reduced = decide(sysm, init, cs)
+        with symmetry_off():
+            full = decide(sysm, init, cs)
+        assert reduced.outcome == full.outcome
+        assert reduced.stats.states <= full.stats.states
+        if full.counterexample is not None:
+            assert len(reduced.counterexample.steps) == len(full.counterexample.steps)
+

@@ -1,11 +1,13 @@
+import contextlib
 import random
 
 import pytest
 
-from support import oracle_verdicts, random_progressive_system
+from support import oracle_verdicts, random_progressive_system, symmetry_off, turn_taking_spec
 
 from tmsr import (
     Configuration,
+    Const,
     CreatedFact,
     FactSizeError,
     CriticalPair,
@@ -16,6 +18,7 @@ from tmsr import (
     Lasso,
     RulePattern,
     SearchBudget,
+    Substitution,
     Trace,
     TraceStep,
     TimestampedFact,
@@ -351,20 +354,25 @@ class TestInvariants:
 
 class TestFreeTwoDroneRecencyEight:
     """State counts and verdicts pinned to the figures of the plain
-    backtracking matcher, so a faster matcher must explore the same graph."""
+    backtracking matcher, so a faster matcher must explore the same graph,
+    and to the figures of the drone-swap reduction."""
 
     @pytest.fixture(scope="class")
     def spec(self):
         return gen_drone(DroneParams(drones=2, recency=8, strategy="free"))
 
     def test_state_counts_and_verdict(self, spec):
-        real = realizability(spec.system, spec.init, spec.critical)
-        assert (real.outcome, real.stats.states) == (HOLDS, 2473)
-        surv = survivability(spec.system, spec.init, spec.critical)
-        assert surv.outcome == FAILS
-        assert surv.stats.states == 428  # the critical-state search alone
         dmax = compute_dmax(spec.system, spec.init, spec.critical)
-        assert validate_lasso(spec.system, spec.critical, real.witness, dmax)
+        for reduced, real_states, surv_states in [(False, 2473, 428), (True, 1752, 234)]:
+            with symmetry_off() if not reduced else contextlib.nullcontext():
+                real = realizability(spec.system, spec.init, spec.critical)
+                surv = survivability(spec.system, spec.init, spec.critical)
+                assert validate_lasso(spec.system, spec.critical, real.witness, dmax)
+            assert (real.outcome, real.stats.states) == (HOLDS, real_states)
+            assert surv.outcome == FAILS
+            assert surv.stats.states == surv_states  # the critical-state search alone
+            assert len(surv.counterexample.steps) == 10
+            assert real.stats.symmetry == surv.stats.symmetry == ((("d1", "d2"),) if reduced else ())
 
     def test_survivability_needs_only_the_critical_state_search(self, spec):
         full = survivability(spec.system, spec.init, spec.critical)
@@ -414,3 +422,105 @@ class TestFreeTwoDroneRecencyEight:
         realizability(small.system, small.init, small.critical)
         assert calls["enabled"] > 100
         assert calls["match_rule"] <= 10 * calls["enabled"]
+
+
+# The Baseline rungs of the roadmap that the unbounded modes can run.
+BASELINE_RUNGS = {
+    "greedy r8": DroneParams(recency=8),
+    "greedy d2 r8": DroneParams(drones=2, recency=8),
+    "free d2 r8": DroneParams(drones=2, recency=8, strategy="free"),
+    "free 3x3 two points": DroneParams(
+        strategy="free", points=((0, 2), (2, 0)), recency=10, energy_cap=8
+    ),
+    "free d3 r8": DroneParams(drones=3, recency=8, strategy="free"),
+}
+
+
+def assert_reduction_agrees(sysm, init, cs):
+    """Reduced and unreduced runs of both unbounded modes give the same
+    outcome and counterexample length, the reduced one in no more states,
+    and every artifact of both replays. Returns whether the spec has
+    interchangeable constants."""
+    dmax = compute_dmax(sysm, init, cs)
+    for decide in (realizability, survivability):
+        reduced = decide(sysm, init, cs)
+        with symmetry_off():
+            full = decide(sysm, init, cs)
+        assert reduced.outcome == full.outcome
+        assert reduced.stats.states <= full.stats.states
+        assert (reduced.counterexample is None) == (full.counterexample is None)
+        for v in (reduced, full):
+            if v.counterexample is not None:
+                assert len(v.counterexample.steps) == len(full.counterexample.steps)
+                assert validate_trace(sysm, cs, v.counterexample, expect_critical_end=True)
+            if v.witness is not None:
+                assert validate_lasso(sysm, cs, v.witness, dmax)
+    return bool(reduced.stats.symmetry)
+
+
+class TestSymmetryReduction:
+    """Keying the unbounded searches on orbits of interchangeable
+    constants changes state counts only."""
+
+    @pytest.mark.parametrize("params", BASELINE_RUNGS.values(), ids=BASELINE_RUNGS.keys())
+    def test_baseline_rungs(self, params):
+        spec = gen_drone(params)
+        reduced = assert_reduction_agrees(spec.system, spec.init, spec.critical)
+        assert reduced == (params.drones > 1)
+
+    @pytest.mark.parametrize("seed, count", [(300, 300), (0xB151, 200)], ids=["random", "criterion-4"])
+    def test_random_progressive_systems(self, seed, count):
+        rng = random.Random(seed)
+        reduced = sum(
+            assert_reduction_agrees(*random_progressive_system(rng)) for _ in range(count)
+        )
+        assert reduced >= 5
+
+
+class TestRenamedCycles:
+    """A reduced lasso may close on a renamed copy of a configuration on
+    the stack; replay accepts it only when the spec makes the renaming a
+    symmetry."""
+
+    def test_half_loop_lasso_replays(self):
+        spec = parse_spec(turn_taking_spec())
+        v = realizability(spec.system, spec.init, spec.critical)
+        assert v.outcome == HOLDS and v.stats.symmetry == (("a", "b"),)
+        cycle = v.witness.cycle
+        assert [st.label for st in cycle.steps] == ["pass-a", TICK_LABEL]
+        assert cycle.init != cycle.final  # Turn(a) at the start, Turn(b) at the end
+        dmax = compute_dmax(spec.system, spec.init, spec.critical)
+        assert validate_lasso(spec.system, spec.critical, v.witness, dmax)
+        with symmetry_off():
+            assert not validate_lasso(spec.system, spec.critical, v.witness, dmax)
+            full = realizability(spec.system, spec.init, spec.critical)
+        assert [st.label for st in full.witness.cycle.steps] == ["pass-a", TICK_LABEL, "pass-b", TICK_LABEL]
+
+    @staticmethod
+    def half_loop(init):
+        """Pass the turn from a to b, then advance the clock: the ends
+        differ by swapping a and b."""
+        turn_b, time = Fact("Turn", (Const("b"),)), Fact("Time")
+        passed = Configuration((ts(time, 0), ts(turn_b, 1)))
+        ticked = Configuration((ts(time, 1), ts(turn_b, 1)))
+        steps = (
+            TraceStep("pass-a", Substitution.of({"T": 0, "T1": 0}, {}), passed),
+            TraceStep(TICK_LABEL, None, ticked),
+        )
+        return Lasso(Trace(init), Trace(init, steps))
+
+    @pytest.mark.parametrize("back_offset, symmetric", [(1, True), (2, False)])
+    def test_swapped_ends_replay_only_under_a_symmetry(self, back_offset, symmetric):
+        # With the pass back taking two clock advances the tokens are not
+        # interchangeable, and the same steps do not close a cycle.
+        spec = parse_spec(turn_taking_spec(back_offset))
+        lasso = self.half_loop(spec.init)
+        assert validate_trace(spec.system, spec.critical, lasso.cycle)
+        dmax = compute_dmax(spec.system, spec.init, spec.critical)
+        result = validate_lasso(spec.system, spec.critical, lasso, dmax)
+        assert result.ok == symmetric
+        if not symmetric:
+            assert result.message == "cycle endpoints are not equivalent"
+        v = realizability(spec.system, spec.init, spec.critical)
+        assert v.stats.symmetry == ((("a", "b"),) if symmetric else ())
+        assert validate_lasso(spec.system, spec.critical, v.witness, dmax)
