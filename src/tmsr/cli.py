@@ -417,9 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The argument parser, built on the first call of ``main`` and reused by
+# later calls in the same process: parsing arguments leaves it unchanged.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (SpecParseError, ReportError, VerifierInputError) as exc:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .terms import (
     App,
@@ -91,63 +92,72 @@ class CreatedFact:
     offset: int
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
+def _check_guard(name: str, guard: Sequence[TimeConstraint], bound: Container[str]) -> None:
+    """A rule's guard must be expanded and read only bound time variables."""
+    for c in guard:
+        if c.rel not in (GREATER, EQUAL):
+            raise RuleError(
+                f"rule {name!r}: guard relation {c.rel!r} must be "
+                "expanded before rule construction"
+            )
+    for c in guard:
+        for v in (c.left, c.right):
+            if v not in bound:
+                raise RuleError(
+                    f"rule {name!r}: guard variable {v!r} does not "
+                    "appear in the precondition"
+                )
+
+
+@dataclass(frozen=True, init=False)
+class RuleSides:
+    """A rule without its name and guard: the clock variable and the
+    preserved, consumed and created facts. It checks itself once, when
+    built, so rules that differ only in name or guard can share one. Its
+    errors do not name a rule; ``rule_sides`` adds the name."""
+
     time_var: str
     preserved: tuple[RulePattern, ...]
     consumed: tuple[RulePattern, ...]
     created: tuple[CreatedFact, ...]
-    guard: tuple[TimeConstraint, ...]
+    # Full precondition in declaration order, clock pattern excluded.
+    patterns: tuple[RulePattern, ...] = field(init=False, repr=False, compare=False)
     # Materialized past-only bounds: timestamp variables of consumed facts,
     # each required to be <= the clock at match time.
-    past_bounds: tuple[str, ...] = field(init=False)
+    past_bounds: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # The time variables a guard may read: the clock's and the patterns'.
+    bound: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "past_bounds", tuple(p.tvar for p in self.consumed)
-        )
-        for c in self.guard:
-            if c.rel not in (GREATER, EQUAL):
-                raise RuleError(
-                    f"rule {self.name!r}: guard relation {c.rel!r} must be "
-                    "expanded before rule construction"
-                )
-        bound = {self.time_var, *(p.tvar for p in self.patterns)}
-        for c in self.guard:
-            for v in (c.left, c.right):
-                if v not in bound:
-                    raise RuleError(
-                        f"rule {self.name!r}: guard variable {v!r} does not "
-                        "appear in the precondition"
-                    )
-        for cf in self.created:
+    def __init__(
+        self,
+        time_var: str,
+        preserved: tuple[RulePattern, ...],
+        consumed: tuple[RulePattern, ...],
+        created: tuple[CreatedFact, ...],
+    ) -> None:
+        # Fields are set in the instance dict, as in Rule.
+        patterns = preserved + consumed
+        fields = self.__dict__
+        fields["time_var"] = time_var
+        fields["preserved"] = preserved
+        fields["consumed"] = consumed
+        fields["created"] = created
+        fields["patterns"] = patterns
+        fields["past_bounds"] = tuple([p.tvar for p in consumed])
+        fields["bound"] = frozenset([time_var, *[p.tvar for p in patterns]])
+        for cf in created:
             if cf.offset < 0:
-                raise RuleError(f"rule {self.name!r}: negative creation offset")
-        created_vars = [v for cf in self.created for v in fact_vars(cf.fact)]
+                raise RuleError("negative creation offset")
+        created_vars = [v for cf in created for v in fact_vars(cf.fact)]
         if created_vars:
-            bound_vars = {v for p in self.patterns for v in fact_vars(p.fact)}
+            bound_vars = {v for p in patterns for v in fact_vars(p.fact)}
             for v in created_vars:
                 if v not in bound_vars:
-                    raise RuleError(
-                        f"rule {self.name!r}: created fact uses unbound "
-                        f"variable {v.name!r}"
-                    )
-
-    @property
-    def patterns(self) -> tuple[RulePattern, ...]:
-        """Full precondition in declaration order, clock pattern excluded."""
-        return self.preserved + self.consumed
-
-    @cached_property
-    def plan(self) -> _MatchPlan:
-        """The precondition compiled for the matcher (see Matching below),
-        built on first use: generators that only print a spec never match."""
-        return _compile(self.patterns, self.guard, (self.time_var,), self.past_bounds)
+                    raise RuleError(f"created fact uses unbound variable {v.name!r}")
 
     @cached_property
     def rewrite_plan(self) -> _RewritePlan:
-        """What ``rewrite`` needs of the rule, compiled on first use: the
+        """What ``rewrite`` needs of a rule, compiled on first use: the
         consumed patterns as (fact, ground, tvar), the created facts as
         (fact, size, offset) with size None unless the fact is ground (and
         then used as it is), and whether a created fact is a clock."""
@@ -160,6 +170,63 @@ class Rule:
         )
         return consumed, created, any(cf.fact.pred == TIME for cf in self.created)
 
+
+def rule_sides(
+    name: str,
+    guard: Sequence[TimeConstraint],
+    time_var: str,
+    preserved: tuple[RulePattern, ...],
+    consumed: tuple[RulePattern, ...],
+    created: tuple[CreatedFact, ...],
+) -> RuleSides:
+    """The sides of the rule ``name`` with this (expanded) guard, with the
+    rule's name in any error. A rule's guard is checked before its sides,
+    so a guard variable these sides leave unbound is the error reported."""
+    try:
+        return RuleSides(time_var, preserved, consumed, created)
+    except RuleError as exc:
+        _check_guard(name, guard, {time_var, *(p.tvar for p in preserved + consumed)})
+        raise RuleError(f"rule {name!r}: {exc}") from None
+
+
+@dataclass(frozen=True, init=False)
+class Rule:
+    """A named rule: shared, checked sides and a guard of expanded atoms
+    over their time variables, checked here."""
+
+    name: str
+    sides: RuleSides
+    guard: tuple[TimeConstraint, ...]
+
+    def __init__(self, name: str, sides: RuleSides, guard: tuple[TimeConstraint, ...]) -> None:
+        # One rule per spec line: setting the fields in the instance dict
+        # takes about half the time of the generated frozen __init__,
+        # which calls object.__setattr__ for each of them.
+        fields = self.__dict__
+        fields["name"] = name
+        fields["sides"] = sides
+        fields["guard"] = guard
+        if guard:
+            _check_guard(name, guard, sides.bound)
+
+    time_var = property(attrgetter("sides.time_var"))
+    preserved = property(attrgetter("sides.preserved"))
+    consumed = property(attrgetter("sides.consumed"))
+    created = property(attrgetter("sides.created"))
+    patterns = property(attrgetter("sides.patterns"))
+    past_bounds = property(attrgetter("sides.past_bounds"))
+
+    @cached_property
+    def plan(self) -> _MatchPlan:
+        """The precondition compiled for the matcher (see Matching below),
+        built on first use: generators that only print a spec never match."""
+        return _compile(self.patterns, self.guard, (self.time_var,), self.past_bounds)
+
+    @cached_property
+    def rewrite_plan(self) -> _RewritePlan:
+        """The sides' rewrite plan, looked up once per rule."""
+        return self.sides.rewrite_plan
+
     def max_creation_offset(self) -> int:
         return max((cf.offset for cf in self.created), default=0)
 
@@ -168,7 +235,7 @@ def tick(c: Configuration) -> Configuration:
     return c.replace_time(c.time + 1)
 
 
-def _expand_atoms(
+def expand_guard(
     atoms: Sequence[TimeConstraint],
     time_var: str | None,
     consumed_tvars: frozenset[str],
@@ -209,12 +276,10 @@ def expand_rule(
 ) -> tuple[Rule, ...]:
     """Load one declared rule, expanding >= guard atoms into alternative
     rules sharing the declared name."""
-    consumed_tvars = frozenset(p.tvar for p in consumed)
-    alts = _expand_atoms(guard, time_var, consumed_tvars)
-    return tuple(
-        Rule(name, time_var, tuple(preserved), tuple(consumed), tuple(created), alt)
-        for alt in alts
-    )
+    preserved, consumed, created = tuple(preserved), tuple(consumed), tuple(created)
+    alts = expand_guard(guard, time_var, frozenset(p.tvar for p in consumed))
+    sides = rule_sides(name, alts[0], time_var, preserved, consumed, created)
+    return tuple(Rule(name, sides, alt) for alt in alts)
 
 
 @dataclass(frozen=True)
@@ -248,7 +313,7 @@ def expand_critical_pair(
     patterns: Sequence[RulePattern],
     guard: Sequence[TimeConstraint] = (),
 ) -> tuple[CriticalPair, ...]:
-    alts = _expand_atoms(guard, None, frozenset())
+    alts = expand_guard(guard, None, frozenset())
     return tuple(CriticalPair(name, tuple(patterns), alt) for alt in alts)
 
 
@@ -276,11 +341,17 @@ class System:
 
     def __post_init__(self) -> None:
         # Each distinct fact is checked once, at its first occurrence, which
-        # is where a failing check would first have raised.
+        # is where a failing check would first have raised; a rule whose
+        # sides an earlier rule shares holds no new fact.
         checked: set[Fact] = set()
+        walked: set[int] = set()
         for r in self.rules:
-            facts = [(p.fact, "pattern") for p in r.patterns]
-            facts += [(cf.fact, "created pattern") for cf in r.created]
+            sides = r.sides
+            if id(sides) in walked:
+                continue
+            walked.add(id(sides))
+            facts = [(p.fact, "pattern") for p in sides.patterns]
+            facts += [(cf.fact, "created pattern") for cf in sides.created]
             for f, what in facts:
                 if f in checked:
                     continue
@@ -304,10 +375,10 @@ def default_fact_size_bound(
 ) -> int:
     """Largest fact size over all rule patterns and the initial facts."""
     best = 1
-    for r in rules:
-        for p in r.patterns:
+    for sides in {id(r.sides): r.sides for r in rules}.values():
+        for p in sides.patterns:
             best = max(best, fact_size(p.fact))
-        for cf in r.created:
+        for cf in sides.created:
             best = max(best, fact_size(cf.fact))
     if init is not None:
         for tf in init:

@@ -48,11 +48,13 @@ from .rules import (
     Rule,
     RulePattern,
     RuleError,
+    RuleSides,
     System,
     TimeConstraint,
     expand_critical_pair,
-    expand_rule,
+    expand_guard,
     make_system,
+    rule_sides,
 )
 from .terms import (
     App,
@@ -70,6 +72,7 @@ from .terms import (
     Var,
     check_fact,
     fact_text,
+    fact_vars,
     make_signature,
     normalize_term,
 )
@@ -120,15 +123,23 @@ _TOKEN_RE = re.compile(r'"[^"]*"|->|>=|\d+|[A-Za-z_][A-Za-z0-9_]*|[@(),:|+\-><={
 # never closed) exactly where this match ends short of the line's end.
 _CLEAN_RE = re.compile(r'(?:[\s\dA-Za-z_@(),:|+\-><={}]+|"[^"]*")*', re.ASCII)
 
+# The characters that may stand outside a string, and the quote: a line
+# made only of these, with its quotes in pairs, holds no stray character.
+_TOKEN_BYTES = (
+    b" \t\n\r\f\v0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+    b'_@(),:|+-><={}"'
+)
+
 # The characters \s matches under re.ASCII: no other character is blank.
 _BLANKS = " \t\n\r\f\v"
 
 # A rule, init or critical line; pass 1 keeps these as text.
 _DEFERRED_RE = re.compile(r"\s*(?:(rule|critical)(?![A-Za-z0-9_])|init\s*:)")
 
-# The keyword and name of a rule line. The rest of the line splits into
-# segments at its first '->' and, before that, at its first '|'.
-_RULE_HEAD_RE = re.compile(r'\s*rule\s*"([^"]*)"', re.ASCII)
+# The keyword and name of a rule line whose rest holds no string, as the
+# rest of a well-formed rule line does. That rest splits into segments at
+# its first '->' and, before that, at its first '|'.
+_RULE_HEAD_RE = re.compile(r'\s*rule\s*"([^"]*)"(?=[^"]*$)', re.ASCII)
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
@@ -198,8 +209,13 @@ class _Cursor:
 # Parser
 
 
-# A rule's clock variable and its preserved, consumed and created facts.
-_RuleSides = tuple[str, tuple[RulePattern, ...], tuple[RulePattern, ...], tuple[CreatedFact, ...]]
+# A rule's left side as (fact, time variable) pairs, its right side as
+# (fact, time variable, offset) triples, a side with the sorts of its term
+# variables, and the parts of a RuleSides.
+_Left = tuple[tuple[Fact, str], ...]
+_Right = tuple[tuple[Fact, str, int], ...]
+_Side = tuple[_Left | _Right, dict[str, str]]
+_Parts = tuple[str, tuple[RulePattern, ...], tuple[RulePattern, ...], tuple[CreatedFact, ...]]
 
 
 class SpecParser:
@@ -221,8 +237,11 @@ class SpecParser:
         # Flat ground facts by the tokens that spell them; see _parse_fact.
         self.flat_facts: dict[tuple[str, ...], Fact] = {}
         # Parsed rule segments by their texts; see _parse_rule.
-        self.rule_sides: dict[tuple[str, str], _RuleSides] = {}
+        self.rule_lefts: dict[str, _Side] = {}
+        self.rule_rights: dict[str, _Side] = {}
         self.rule_guards: dict[tuple[str, str], tuple[TimeConstraint, ...]] = {}
+        self.rule_sides: dict[tuple[str, str], RuleSides] = {}
+        self.rule_alts: dict[tuple, list[tuple[TimeConstraint, ...]]] = {}
 
     @classmethod
     def for_signature(cls, sig_or_spec) -> "SpecParser":
@@ -257,24 +276,28 @@ class SpecParser:
     # -- pass 1: collect declarations ------------------------------------
 
     def read(self, text: str) -> None:
+        # One pass over the text finds whether it holds only the characters
+        # of tokens, blanks and quotes; if so, only a line with an unpaired
+        # quote needs its characters checked. Otherwise every line is, so
+        # that the first stray character is the one reported.
+        clean = text.isascii() and not text.encode("ascii").translate(None, _TOKEN_BYTES)
+        header = False
         # Only "\n" ends a line: str.splitlines would also break at "\f",
         # "\v", U+2028 and others, and so move every later line number.
-        body: list[tuple[int, str]] = []
-        for idx, raw in enumerate(text.split("\n"), start=1):
-            if raw.endswith("\r"):
-                raw = raw[:-1]
-            stripped = self._strip_comment(raw)
-            if stripped.strip(_BLANKS):
-                body.append((idx, stripped))
-        if not body:
-            raise SpecParseError("syntax", "empty spec", 1)
-        first_line, first = body[0]
-        if first.strip(_BLANKS) != HEADER:
-            raise SpecParseError(
-                "syntax", f"missing header line {HEADER!r}", first_line
-            )
-        for line, content in body[1:]:
-            _check_chars(content, line)
+        for line, content in enumerate(text.split("\n"), start=1):
+            if content.endswith("\r"):
+                content = content[:-1]
+            if "#" in content:
+                content = self._strip_comment(content)
+            if not content.strip(_BLANKS):
+                continue
+            if not header:
+                if content.strip(_BLANKS) != HEADER:
+                    raise SpecParseError("syntax", f"missing header line {HEADER!r}", line)
+                header = True
+                continue
+            if not clean or content.count('"') % 2:
+                _check_chars(content, line)
             m = _DEFERRED_RE.match(content)
             if m is not None:
                 if m.group(1) == "rule":
@@ -301,11 +324,11 @@ class SpecParser:
                 self._decl_params(cur)
             else:
                 raise cur.error("syntax", f"unknown declaration {head!r}", 0)
+        if not header:
+            raise SpecParseError("syntax", "empty spec", 1)
 
     @staticmethod
     def _strip_comment(raw: str) -> str:
-        if "#" not in raw:
-            return raw
         out = []
         in_string = False
         for ch in raw:
@@ -537,61 +560,21 @@ class SpecParser:
                 return out, i
             i += 1
 
-    def _parse_rule(self, line: int, text: str) -> tuple[Rule, ...]:
-        # A line that parsed in full stores its segments by their text: the
-        # two sides together, since they share their variables, and the
-        # guard apart, since it binds none (with its bar, so that "|->"
-        # never takes the empty guard of a line without one). A segment's
-        # tokens are the same in every line that holds its text and its
-        # parse reads no others, so a line whose segments are all stored
-        # parses to them. expand_rule still checks this guard against
-        # these patterns.
-        head = _RULE_HEAD_RE.match(text)
-        sides = guard = None
-        if head is not None:
-            before, _, rhs_text = text[head.end() :].partition("->")
-            lhs_text, bar, guard_text = before.partition("|")
-            sides_key, guard_key = (lhs_text, rhs_text), (bar, guard_text)
-            sides = self.rule_sides.get(sides_key)
-            guard = self.rule_guards.get(guard_key)
-        if sides is None or guard is None:
-            name, sides, guard = self._parse_rule_tokens(line, text)
-        else:
-            name = head.group(1)
-        try:
-            rules = expand_rule(name, *sides, guard)
-        except RuleError as exc:
-            raise SpecParseError("syntax", str(exc), line) from None
-        if head is not None:
-            self.rule_sides[sides_key] = sides
-            self.rule_guards[guard_key] = guard
-        return rules
-
-    def _parse_rule_tokens(
-        self, line: int, text: str
-    ) -> tuple[str, _RuleSides, tuple[TimeConstraint, ...]]:
-        """A rule line's name, sides and guard atoms (before ``>=``
-        expansion), parsed from its tokens."""
-        cur = _Cursor(text, line, 1)
-        toks = cur.toks
-        name = cur.expect(1, "string").strip('"')
-        if toks[2] != ":":
-            raise cur.expected(2, repr(":"))
-        vars_seen: dict[str, str] = {}
-        lhs, i = self._parse_patterns(cur, 3, vars_seen)
-        guard: list[TimeConstraint] = []
-        if toks[i] == "|":
+    def _parse_guard(self, cur: _Cursor, i: int) -> tuple[tuple[TimeConstraint, ...], int]:
+        """The guard atoms ``L op R [+- n], ...`` from token ``i`` on."""
+        guard = []
+        while True:
+            c, i = self._parse_constraint(cur, i)
+            guard.append(c)
+            if cur.toks[i] != ",":
+                return tuple(guard), i
             i += 1
-            while True:
-                c, i = self._parse_constraint(cur, i)
-                guard.append(c)
-                if toks[i] != ",":
-                    break
-                i += 1
-        if toks[i] != "->":
-            raise cur.expected(i, repr("arrow"))
-        i += 1
-        rhs: list[tuple[Fact, str, int]] = []
+
+    def _parse_created(self, cur: _Cursor, i: int, vars_seen: dict[str, str]) -> tuple[_Right, int]:
+        """A right side ``fact@T, fact@(T+n), ...`` from token ``i`` on, as
+        (fact, time variable, offset) triples."""
+        toks = cur.toks
+        rhs = []
         while True:
             f, i = self._parse_fact(cur, i, vars_seen)
             if toks[i] != "@":
@@ -610,10 +593,145 @@ class SpecParser:
                 i += 2
             rhs.append((f, tv, off))
             if toks[i] != ",":
-                break
+                return tuple(rhs), i
             i += 1
-        cur.end(i)
 
+    def _parse_rule(self, line: int, text: str) -> tuple[Rule, ...]:
+        # A rule line splits at its first '->' and, before that, at its
+        # first '|' into three segments: the left side, the guard (with its
+        # bar, so that "|->" never takes the empty guard of a line without
+        # one) and the right side. A line that yielded rules stores each
+        # segment by its text, and the sides of its (left, right) pair as
+        # one RuleSides. A segment holds no string, so it splits at token
+        # boundaries: its tokens are the same in every line that holds its
+        # text, and it parses alone as within its line, except that a
+        # variable must keep one sort across the two sides. So a later line
+        # takes what is stored and parses only its new segments, alone. A
+        # line for which any of this fails takes the full parse, which
+        # raises its diagnostic.
+        head = _RULE_HEAD_RE.match(text)
+        if head is None:
+            # Never a well-formed line: the full parse finds its fault.
+            name, left, guard, right = self._parse_rule_tokens(line, text)
+            parts = self._classify(line, name, left[0], right[0])
+            return self._rules(line, name, None, guard, None, parts)[1]
+        name = head.group(1)
+        before, _, right_text = text[head.end() :].partition("->")
+        left_text, bar, guard_text = before.partition("|")
+        guard_key, sides_key = (bar, guard_text), (left_text, right_text)
+        guard = self.rule_guards.get(guard_key)
+        sides = self.rule_sides.get(sides_key)
+        if guard is not None and sides is not None:
+            return self._rules(line, name, guard_key, guard, sides, None)[1]
+        parts = left = right = None
+        if sides is None:
+            left = self.rule_lefts.get(left_text)
+            right = self.rule_rights.get(right_text)
+        if sides is not None or left is not None or right is not None:
+            try:
+                if guard is None:
+                    guard = self._guard_segment(line, bar, guard_text)
+                if sides is None:
+                    left = left or self._left_segment(line, left_text)
+                    right = right or self._right_segment(line, right_text)
+                    if all(left[1].get(v, sort) == sort for v, sort in right[1].items()):
+                        parts = self._classify(line, name, left[0], right[0])
+            except SpecParseError:
+                sides = parts = None
+        if sides is None and parts is None:
+            name, left, guard, right = self._parse_rule_tokens(line, text)
+            parts = self._classify(line, name, left[0], right[0])
+        sides, rules = self._rules(line, name, guard_key, guard, sides, parts)
+        self.rule_guards[guard_key] = guard
+        self.rule_sides[sides_key] = sides
+        if parts is not None:
+            self.rule_lefts[left_text] = left
+            self.rule_rights[right_text] = right
+        return rules
+
+    def _left_segment(self, line: int, text: str) -> _Side:
+        cur = _Cursor(text, line)
+        if cur.toks[0] != ":":
+            raise cur.expected(0, repr(":"))
+        vars_seen: dict[str, str] = {}
+        lhs, i = self._parse_patterns(cur, 1, vars_seen)
+        cur.end(i)
+        return tuple(lhs), vars_seen
+
+    def _right_segment(self, line: int, text: str) -> _Side:
+        cur = _Cursor(text, line)
+        vars_seen: dict[str, str] = {}
+        rhs, i = self._parse_created(cur, 0, vars_seen)
+        cur.end(i)
+        return rhs, vars_seen
+
+    def _guard_segment(self, line: int, bar: str, text: str) -> tuple[TimeConstraint, ...]:
+        if not bar:
+            return ()
+        cur = _Cursor(text, line)
+        guard, i = self._parse_guard(cur, 0)
+        cur.end(i)
+        return guard
+
+    def _rules(
+        self,
+        line: int,
+        name: str,
+        guard_key: tuple[str, str] | None,
+        guard: tuple[TimeConstraint, ...],
+        sides: RuleSides | None,
+        parts: _Parts | None,
+    ) -> tuple[RuleSides, tuple[Rule, ...]]:
+        """The rules of one line: one per alternative of its guard over its
+        sides, given as a RuleSides or as the parts of a new one. The
+        alternatives (``>=`` expanded) are stored by the guard's key and
+        the clock and consumed time variables."""
+        if sides is not None:
+            time_var, past = sides.time_var, sides.past_bounds
+        else:
+            time_var, past = parts[0], tuple([p.tvar for p in parts[2]])
+        key = (guard_key, time_var, past)
+        alts = self.rule_alts.get(key)
+        if alts is None:
+            alts = expand_guard(guard, time_var, frozenset(past))
+            if guard_key is not None:
+                self.rule_alts[key] = alts
+        try:
+            if sides is None:
+                sides = rule_sides(name, alts[0], *parts)
+            return sides, tuple([Rule(name, sides, alt) for alt in alts])
+        except RuleError as exc:
+            raise SpecParseError("syntax", str(exc), line) from None
+
+    def _parse_rule_tokens(
+        self, line: int, text: str
+    ) -> tuple[str, _Side, tuple[TimeConstraint, ...], _Side]:
+        """A rule line's name, left side, guard atoms (before ``>=``
+        expansion) and right side, parsed from its tokens."""
+        cur = _Cursor(text, line, 1)
+        toks = cur.toks
+        name = cur.expect(1, "string").strip('"')
+        if toks[2] != ":":
+            raise cur.expected(2, repr(":"))
+        vars_seen: dict[str, str] = {}
+        lhs, i = self._parse_patterns(cur, 3, vars_seen)
+        left_sorts = dict(vars_seen)
+        guard: tuple[TimeConstraint, ...] = ()
+        if toks[i] == "|":
+            guard, i = self._parse_guard(cur, i + 1)
+        if toks[i] != "->":
+            raise cur.expected(i, repr("arrow"))
+        rhs, i = self._parse_created(cur, i + 1, vars_seen)
+        cur.end(i)
+        right_sorts = {}
+        if vars_seen:
+            right_sorts = {v.name: v.sort for f, _, _ in rhs for v in fact_vars(f)}
+        return name, (tuple(lhs), left_sorts), guard, (rhs, right_sorts)
+
+    @staticmethod
+    def _classify(line: int, name: str, lhs: _Left, rhs: _Right) -> _Parts:
+        """A rule's clock variable and its preserved, consumed and created
+        facts, from its two sides."""
         time_vars = [tv for f, tv in lhs if f.pred == TIME]
         rhs_time = [(f, tv, off) for f, tv, off in rhs if f.pred == TIME]
         if len(time_vars) > 1 or len(rhs_time) > 1:
@@ -679,7 +797,7 @@ class SpecParser:
                 )
             created.append(CreatedFact(f, off))
         consumed = tuple(RulePattern(f, tv) for f, tv in remaining)
-        return name, (time_var, tuple(preserved), consumed, tuple(created)), tuple(guard)
+        return time_var, tuple(preserved), consumed, tuple(created)
 
     def _parse_init(self, line: int, text: str) -> list[TimestampedFact]:
         cur = _Cursor(text, line, 2)
@@ -792,16 +910,17 @@ def parse_term_text(sig_or_spec, text: str, expected: str, line: int = 1) -> Ter
 
 
 def _rule_text(r: Rule) -> str:
-    lhs = [f"{TIME}@{r.time_var}"]
-    lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in r.preserved]
-    lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in r.consumed]
-    rhs = [f"{TIME}@{r.time_var}"]
-    rhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in r.preserved]
-    for cf in r.created:
+    s = r.sides
+    lhs = [f"{TIME}@{s.time_var}"]
+    lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.preserved]
+    lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.consumed]
+    rhs = [f"{TIME}@{s.time_var}"]
+    rhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.preserved]
+    for cf in s.created:
         if cf.offset == 0:
-            rhs.append(f"{fact_text(cf.fact)}@{r.time_var}")
+            rhs.append(f"{fact_text(cf.fact)}@{s.time_var}")
         else:
-            rhs.append(f"{fact_text(cf.fact)}@({r.time_var}+{cf.offset})")
+            rhs.append(f"{fact_text(cf.fact)}@({s.time_var}+{cf.offset})")
     guard = ""
     if r.guard:
         guard = " | " + ", ".join(c.text() for c in r.guard)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping, Union
 
 NAT = "Nat"
@@ -169,16 +170,40 @@ def canonical_key(tf: TimestampedFact) -> tuple[int, str]:
     return (tf.ts, fact_text(tf.fact))
 
 
+def _canonical_order(facts: Iterable[TimestampedFact]) -> list[TimestampedFact]:
+    """Facts by stamp, then by text. Distinct facts with one stamp and one
+    text (only the Python API builds them, say ``P(Const("1"))`` and
+    ``P(1)``) are ordered by their ``repr``, computed only for such ties."""
+    ordered = sorted(facts, key=canonical_key)
+    if any(
+        a.ts == b.ts and a.fact != b.fact and fact_text(a.fact) == fact_text(b.fact)
+        for a, b in zip(ordered, ordered[1:])
+    ):
+        ordered = [
+            tf
+            for _, run in groupby(ordered, key=canonical_key)
+            for tf in sorted(run, key=lambda tf: repr(tf.fact))
+        ]
+    return ordered
+
+
 def insert_canonical(facts: list[TimestampedFact], tf: TimestampedFact) -> None:
-    """Insert tf into canonically ordered facts, after any equal key. New
+    """Insert tf into canonically ordered facts, after any equal fact. New
     facts are mostly stamped at or after the others, so the search runs
-    from the end and compares texts only among equal stamps."""
+    from the end and compares texts only among equal stamps, and reprs
+    only among distinct facts of equal text."""
     j = len(facts)
     while j and facts[j - 1].ts > tf.ts:
         j -= 1
     if j and facts[j - 1].ts == tf.ts:
         text = fact_text(tf.fact)
-        while j and facts[j - 1].ts == tf.ts and fact_text(facts[j - 1].fact) > text:
+        while j and facts[j - 1].ts == tf.ts:
+            before = facts[j - 1].fact
+            other = fact_text(before)
+            if other < text or (
+                other == text and (before == tf.fact or repr(before) < repr(tf.fact))
+            ):
+                break
             j -= 1
     facts.insert(j, tf)
 
@@ -282,7 +307,7 @@ class Configuration:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.facts, key=canonical_key))
+        ordered = tuple(_canonical_order(self.facts))
         object.__setattr__(self, "facts", ordered)
         times = [tf for tf in ordered if tf.fact.pred == TIME]
         if len(times) != 1:

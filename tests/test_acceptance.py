@@ -21,6 +21,7 @@ from tmsr import (
     Fact,
     HOLDS,
     Rule,
+    RuleSides,
     RulePattern,
     TimeConstraint,
     abstract,
@@ -81,10 +82,12 @@ def test_criterion_1_classifier_fidelity():
         for drop in range(len(rule.created)):
             mutated = Rule(
                 rule.name,
-                rule.time_var,
-                rule.preserved,
-                rule.consumed,
-                rule.created[:drop] + rule.created[drop + 1 :],
+                RuleSides(
+                    rule.time_var,
+                    rule.preserved,
+                    rule.consumed,
+                    rule.created[:drop] + rule.created[drop + 1 :],
+                ),
                 rule.guard,
             )
             offenders = check_balanced(

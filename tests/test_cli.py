@@ -2,11 +2,14 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from support import turn_taking_spec
 
+import tmsr.cli
 from tmsr.cli import main
 from tmsr.reports import input_digest, parse_report
 from tmsr.specfile import SpecParseError, parse_spec
@@ -535,3 +538,64 @@ class TestMalformedInvocations:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+def _in_a_fresh_process(argv):
+    """(exit code, stdout, stderr) of ``tmsr`` run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tmsr.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "tmsr.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _untimed(result):
+    return tuple(
+        re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": 0', str(part)) for part in result
+    )
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its argument parser once and reuses it: one call
+    leaves nothing behind that another call sees."""
+
+    def test_calls_behave_as_in_a_fresh_process(self, tick_spec, capsys, monkeypatch):
+        built = []
+        build_parser = tmsr.cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(tmsr.cli, "_parser", None)
+        monkeypatch.setattr(tmsr.cli, "build_parser", counting_build_parser)
+        usage = ["verify", str(tick_spec)]
+        valid = ["verify", str(tick_spec), "--mode", "realizability"]
+        with pytest.raises(SystemExit) as exc:
+            main(usage)
+        in_process = [(exc.value.code, *capsys.readouterr())]
+        in_process.append((main(valid), *capsys.readouterr()))
+        assert in_process[0][0] == 3 and "error:" in in_process[0][2]
+        assert in_process[1][0] == 0 and '"outcome": "holds"' in in_process[1][1]
+        assert [_untimed(r) for r in in_process] == [
+            _untimed(_in_a_fresh_process(argv)) for argv in (usage, valid)
+        ]
+        assert len(built) == 1
+
+    def test_same_rules_under_another_sort_give_their_own_diagnostic(self, tmp_path, capsys):
+        # Only the constant's declared sort differs between the two specs.
+        text = (
+            "tmsr-spec 1\nsort Id\nsort Zone\nconst p1 : Id\npred Q : Id\n"
+            'rule "m": Time@T, Q(p1)@T1 -> Time@T, Q(p1)@(T+1)\n'
+            "init: Time@0, Q(p1)@0\n"
+        )
+        first, second = tmp_path / "first.spec", tmp_path / "second.spec"
+        first.write_text(text)
+        second.write_text(text.replace("const p1 : Id", "const p1 : Zone"))
+        for _ in range(2):
+            assert main(["check", str(first)]) == 0
+            assert "progressive: yes" in capsys.readouterr().out
+            assert main(["check", str(second)]) == 3
+            assert capsys.readouterr().err == (
+                "input error: 6:21: [sort] constant 'p1' has sort 'Zone', expected 'Id'\n"
+            )

@@ -1,5 +1,6 @@
 """Fuzzing the two input parsers, spec text and JSON reports, and the
-symmetry detector.
+symmetry detector; and the spec parser's per-line equivalence on every
+generated family.
 
 Whatever the input, ``parse_spec`` may only fail with ``SpecParseError``
 and ``parse_report`` only with ``ReportError``; the command line turns
@@ -10,6 +11,7 @@ checks the same inputs.
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from tmsr import make_system
 from tmsr.delta import symmetric_classes
 from tmsr.reports import ReportError, VerdictReport, emit_report, parse_report
 from tmsr.search import bounded_survivability, realizability, survivability
-from tmsr.scenarios import DroneParams, gen_drone
+from tmsr.scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_tm
 from tmsr.specfile import HEADER, SpecParseError, parse_spec, print_spec
 
 FUZZ = settings(
@@ -93,10 +95,24 @@ def _mutate_char(text: str, pos: int, op: str, ch: str) -> str:
 GREEDY_SPEC = print_spec(gen_drone(DroneParams(recency=3)))
 GREEDY_RULE_LINES = rule_line_numbers(GREEDY_SPEC)
 
+# A free one-drone spec: no two of its rule lines share both sides, and most
+# late lines hold one side, or both, of earlier lines.
+FREE_LINE_SPEC = print_spec(gen_drone(DroneParams(strategy="free", recency=3)))
+FREE_RULE_LINES = rule_line_numbers(FREE_LINE_SPEC)
+
+
+def _rules_by_line(text, lines):
+    return {j: parse_outcome(only_rule_line(text, j)) for j in lines}
+
 
 @pytest.fixture(scope="module")
 def greedy_rules_by_line():
-    return {j: parse_outcome(only_rule_line(GREEDY_SPEC, j)) for j in GREEDY_RULE_LINES}
+    return _rules_by_line(GREEDY_SPEC, GREEDY_RULE_LINES)
+
+
+@pytest.fixture(scope="module")
+def free_rules_by_line():
+    return _rules_by_line(FREE_LINE_SPEC, FREE_RULE_LINES)
 
 
 @FUZZ
@@ -107,18 +123,93 @@ def greedy_rules_by_line():
     ch=SPEC_CHARS,
 )
 def test_mutated_rule_line_parses_as_if_alone(greedy_rules_by_line, data, j, op, ch):
+    _check_mutated_line(GREEDY_SPEC, greedy_rules_by_line, data, j, op, ch)
+
+
+@FUZZ
+@given(
+    data=st.data(),
+    j=st.sampled_from(FREE_RULE_LINES[len(FREE_RULE_LINES) // 2 :]),
+    op=st.sampled_from(["delete", "replace", "insert"]),
+    ch=SPEC_CHARS,
+)
+def test_mutated_free_rule_line_parses_as_if_alone(free_rules_by_line, data, j, op, ch):
+    _check_mutated_line(FREE_LINE_SPEC, free_rules_by_line, data, j, op, ch)
+
+
+def _check_mutated_line(text, rules_by_line, data, j, op, ch):
     # The whole spec gives the rules of every other line and what the
     # mutated line gives alone, or that line's diagnostic.
-    lines = GREEDY_SPEC.split("\n")
+    lines = text.split("\n")
     line = _mutate_char(lines[j], data.draw(st.integers(0, len(lines[j]) - 1)), op, ch)
     whole = parse_outcome("\n".join(lines[:j] + [line] + lines[j + 1 :]))
-    alone = parse_outcome(only_rule_line(GREEDY_SPEC, j, line))
+    alone = parse_outcome(only_rule_line(text, j, line))
     if isinstance(alone, tuple):
         assert whole == alone
     else:
-        before = [r for i in GREEDY_RULE_LINES if i < j for r in greedy_rules_by_line[i]]
-        after = [r for i in GREEDY_RULE_LINES if i > j for r in greedy_rules_by_line[i]]
+        before = [r for i in sorted(rules_by_line) if i < j for r in rules_by_line[i]]
+        after = [r for i in sorted(rules_by_line) if i > j for r in rules_by_line[i]]
         assert whole == before + alone + after
+
+
+def _sat_sample():
+    rng = random.Random(14)
+    out = []
+    for _ in range(8):
+        variables = rng.randint(1, 3)
+        clauses = tuple(
+            tuple(rng.choice((-1, 1)) * rng.randint(1, variables) for _ in range(3))
+            for _ in range(rng.randint(1, 3))
+        )
+        out.append(gen_3sat(Cnf3(variables, clauses)))
+    return out
+
+
+SMALL_TM = TmSpec(
+    states=("q0", "q1", "qa"),
+    final_states=frozenset(("qa",)),
+    alphabet=("0", "1"),
+    instructions={
+        ("q0", "0"): ("q1", "1", "R"),
+        ("q0", "1"): ("qa", "1", "N"),
+        ("q1", "0"): ("q0", "0", "L"),
+        ("q1", "1"): ("q1", "0", "R"),
+    },
+    space=2,
+    input_word=("0", "1"),
+)
+
+GENERATED_FAMILIES = {
+    **{
+        f"{strategy}-d{drones}": lambda s=strategy, d=drones: [
+            gen_drone(DroneParams(drones=d, strategy=s))
+        ]
+        for strategy in ("free", "greedy")
+        for drones in (1, 2, 3)
+    },
+    "sat-sample": _sat_sample,
+    "tm": lambda: [gen_tm(SMALL_TM)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED_FAMILIES))
+def test_whole_spec_gives_each_line_its_rules_alone(family):
+    # Every rule line, parsed alone (the other rule lines blanked), gives
+    # exactly its slice of the whole spec's rules: fields and order.
+    for spec in GENERATED_FAMILIES[family]():
+        text = print_spec(spec)
+        rules = parse_spec(text).system.rules
+        assert rules == spec.system.rules
+        i = 0
+        for j in rule_line_numbers(text):
+            alone = parse_spec(only_rule_line(text, j)).system.rules
+            got = rules[i : i + len(alone)]
+            assert alone and got == alone
+            assert [(repr(r), r.past_bounds, r.patterns) for r in got] == [
+                (repr(r), r.past_bounds, r.patterns) for r in alone
+            ]
+            i += len(alone)
+        assert i == len(rules)
 
 
 @pytest.fixture(scope="module")
@@ -224,14 +315,18 @@ def _mutate_rule(rule, op, target, value):
         created = list(rule.created)
         k = target % len(created)
         created[k] = dataclasses.replace(created[k], offset=1 + value % 2)
-        return dataclasses.replace(rule, created=tuple(created))
+        return _replace_sides(rule, created=tuple(created))
     parts = [("preserved", p) for p in range(len(rule.preserved))]
     parts += [("consumed", p) for p in range(len(rule.consumed))]
     parts += [("created", p) for p in range(len(rule.created))]
     field, k = parts[target % len(parts)]
     items = list(getattr(rule, field))
     items[k] = dataclasses.replace(items[k], fact=_mutate_fact(items[k].fact, op, value))
-    return dataclasses.replace(rule, **{field: tuple(items)})
+    return _replace_sides(rule, **{field: tuple(items)})
+
+
+def _replace_sides(rule, **changes):
+    return dataclasses.replace(rule, sides=dataclasses.replace(rule.sides, **changes))
 
 
 def _mirror(rules, j):
@@ -244,7 +339,7 @@ def _mirror(rules, j):
 
 def rename_rule(rule):
     """The rule with the drones swapped in every fact."""
-    return dataclasses.replace(
+    return _replace_sides(
         rule,
         preserved=tuple(dataclasses.replace(p, fact=rename_fact(p.fact, SWAP)) for p in rule.preserved),
         consumed=tuple(dataclasses.replace(p, fact=rename_fact(p.fact, SWAP)) for p in rule.consumed),

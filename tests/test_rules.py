@@ -540,11 +540,12 @@ class TestClassifier:
     def test_missing_created_fact_flips_verdict(self):
         spec = gen_drone(DroneParams(strategy="free"))
         rule = next(r for r in spec.system.rules if r.name.startswith("click"))
-        from tmsr import Rule
+        from tmsr import Rule, RuleSides
 
         mutated = Rule(
-            rule.name, rule.time_var, rule.preserved, rule.consumed,
-            rule.created[:-1], rule.guard,
+            rule.name,
+            RuleSides(rule.time_var, rule.preserved, rule.consumed, rule.created[:-1]),
+            rule.guard,
         )
         broken = make_system(spec.system.signature, [mutated])
         assert check_balanced(broken) == [rule.name]

@@ -225,6 +225,11 @@ MALFORMED_SPECS = {
     "stray-character": PRE + INIT + "params: k=4 $\n",
     "stray-in-rule-before-later-error": PRE + 'rule "m": Time@T ~ -> Time@T\n' + "bogus x\n",
     "unterminated-string": PRE + 'rule "m: Time@T -> Time@T\n' + INIT,
+    # A string ends on its line: two lone quotes on two lines make none.
+    "quotes-on-two-lines": PRE
+    + 'rule "m: Time@T -> Time@T\n'
+    + 'critical c": { P(p1,0,1)@T }\n'
+    + INIT,
     "hash-in-rule-name": PRE
     + 'rule "a#b": Time@T, Q(p1)@T1 -> Time@T, Q(p1)@T1  # note\n'
     + INIT,
@@ -267,6 +272,10 @@ MALFORMED_SPECS = {
     "no-break-space": PRE + "init:\u00a0Time@0, P(p1,0,1)@0\n",
     "no-break-space-line": PRE + "\u00a0\n" + INIT,
     "fn-missing-result": PRE + "fn f : Nat Nat\n" + INIT,
+    # A rule's guard is checked before its sides.
+    "guard-variable-and-created-variable-unbound": PRE
+    + 'rule "m": Time@T, P(p1,0,1)@T1 | T = T9 -> Time@T, P(p1,0,1)@T1, Dr(d1,X,1,1)@(T+1)\n'
+    + INIT,
     "variable-sort-clash": PRE
     + 'rule "m": Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1 -> '
     + "Time@T, P(X,0,1)@T1, Dr(d1,X,1,1)@T1\n"
@@ -304,6 +313,7 @@ DIAGNOSTICS = {
         "7:18: [syntax] unexpected character '~'",
     ),
     "unterminated-string": ("syntax", 7, 6, "7:6: [syntax] unexpected character '\"'"),
+    "quotes-on-two-lines": ("syntax", 7, 6, "7:6: [syntax] unexpected character '\"'"),
     "hash-in-rule-name": ("sort", 7, 21, "7:21: [sort] undeclared predicate 'Q'"),
     "missing-arrow": ("syntax", 7, 32, "7:32: [syntax] expected 'arrow', found 'Time'"),
     "too-many-args": ("arity", 7, 27, "7:27: [arity] predicate 'P' takes 3 arguments"),
@@ -341,6 +351,12 @@ DIAGNOSTICS = {
     "no-break-space": ("syntax", 7, 6, "7:6: [syntax] unexpected character '\\xa0'"),
     "no-break-space-line": ("syntax", 7, 1, "7:1: [syntax] unexpected character '\\xa0'"),
     "fn-missing-result": ("syntax", 7, 12, "7:12: [syntax] unexpected end of line"),
+    "guard-variable-and-created-variable-unbound": (
+        "syntax",
+        7,
+        0,
+        "7:0: [syntax] rule 'm': guard variable 'T9' does not appear in the precondition",
+    ),
     "variable-sort-clash": (
         "sort",
         7,
@@ -392,6 +408,14 @@ class TestDiagnostics:
     def test_table_covers_every_input(self):
         names = set(MALFORMED_SPECS) | set(MALFORMED_FACTS) | set(MALFORMED_TERMS)
         assert names == set(DIAGNOSTICS)
+
+    def test_text_check_accepts_what_the_line_check_accepts(self):
+        # A text made only of these skips the per-line check of its lines
+        # whose quotes pair up: each such character must pass that check.
+        from tmsr.specfile import _CLEAN_RE, _TOKEN_BYTES
+
+        line_check = {chr(c) for c in range(0x110000) if _CLEAN_RE.fullmatch(chr(c))}
+        assert set(_TOKEN_BYTES.decode()) == line_check | {'"'}
 
 
 class TestRoundTrips:
@@ -518,11 +542,12 @@ init: Time@0, F(3)@0, U(a)@0, Q@0
 
 
 class TestRuleSegmentMemo:
-    """Within one parse, a rule line whose left side and right side, and
-    whose guard, parsed before (on lines that parsed in full) takes them as
-    they are; any other line is parsed from its tokens. Either way a line
-    gives what it gives with no line like it before it: the same rules or
-    the same diagnostic."""
+    """Within one parse, a rule line takes each of its segments (left side,
+    guard, right side) that an earlier line which yielded rules held, and
+    parses only its other segments, each alone; a line that holds no stored
+    side, or whose segments do not fit together, is parsed from its tokens.
+    Either way a line gives what it gives with no line like it before it:
+    the same rules or the same diagnostic."""
 
     # name -> (earlier rule lines, the line, whether the line takes stored
     # segments, the diagnostic's code or None if the line parses)
@@ -563,6 +588,74 @@ class TestRuleSegmentMemo:
             False,
             "sort",
         ),
+        # Side-level lookalikes: the line's two sides come from different
+        # lines, or one side is stored and the other is not.
+        "stored-right-side-creates-a-variable-the-stored-left-side-leaves-unbound": (
+            [
+                'rule "a": Time@T, Dr(d1,X,1,1)@T1 -> Time@T, Dr(d1,X,1,0)@(T+1)',
+                'rule "b": Time@T, Dr(d1,0,1,1)@T1 -> Time@T, Dr(d1,0,1,0)@(T+1)',
+            ],
+            'rule "u": Time@T, Dr(d1,0,1,1)@T1 -> Time@T, Dr(d1,X,1,0)@(T+1)',
+            True,
+            "syntax",
+        ),
+        "stored-sides-use-a-variable-at-two-sorts": (
+            [
+                'rule "a": Time@T, P(X,0,1)@T1 -> Time@T, P(X,0,1)@T1',
+                'rule "b": Time@T, P(p1,X,1)@T1 -> Time@T, P(p1,X,1)@(T+1)',
+            ],
+            'rule "s": Time@T, P(X,0,1)@T1 -> Time@T, P(p1,X,1)@(T+1)',
+            False,
+            "sort",
+        ),
+        "stored-pair-with-a-new-guard-naming-an-unbound-variable": (
+            ['rule "g": Time@T, P(p1,0,1)@T1 -> Time@T, P(p1,0,1)@T1, Dr(d1,0,1,1)@(T+1)'],
+            'rule "n": Time@T, P(p1,0,1)@T1 | T = T9 + 1 -> '
+            "Time@T, P(p1,0,1)@T1, Dr(d1,0,1,1)@(T+1)",
+            True,
+            "syntax",
+        ),
+        "left-and-right-stored-from-different-lines": (
+            [GOOD_RULE, 'rule "b": Time@T, Dr(d1,1,1,1)@T1 -> Time@T, Dr(d1,0,1,1)@(T+1)'],
+            'rule "c": Time@T, P(p1,0,1)@T1 -> Time@T, Dr(d1,0,1,1)@(T+1)',
+            True,
+            None,
+        ),
+        "arrow-in-name-over-sides-from-different-lines": (
+            [GOOD_RULE, 'rule "b": Time@T, Dr(d1,1,1,1)@T1 -> Time@T, Dr(d1,0,1,1)@(T+1)'],
+            'rule "c->d": Time@T, P(p1,0,1)@T1 -> Time@T, Dr(d1,0,1,1)@(T+1)',
+            True,
+            None,
+        ),
+        "bar-in-name-over-a-stored-left-side-and-a-new-right-side": (
+            [GOOD_RULE],
+            'rule "p|q": Time@T, P(p1,0,1)@T1 | T = T1 + 2 -> '
+            "Time@T, P(p1,0,1)@T1, Dr(d1,1,1,1)@(T+1)",
+            True,
+            None,
+        ),
+        "stored-left-side-and-a-bad-new-right-side": (
+            [GOOD_RULE],
+            GOOD_RULE.replace("Dr(d1,0,1,1)", "Dr(d1,0,1)"),
+            False,
+            "arity",
+        ),
+        "stored-right-side-and-a-bad-new-left-side": (
+            [GOOD_RULE],
+            GOOD_RULE.replace("P(p1,0,1)@T1 |", "P(p1,0,1)@T1, Dr(d1,7)@T2 |"),
+            False,
+            "arity",
+        ),
+    }
+    # Rows whose diagnostic must name what went wrong, beyond its code.
+    MESSAGES = {
+        "stored-right-side-creates-a-variable-the-stored-left-side-leaves-unbound": (
+            "rule 'u': created fact uses unbound variable 'X'"
+        ),
+        "stored-sides-use-a-variable-at-two-sorts": "variable 'X' used at sorts 'Id' and 'Nat'",
+        "stored-pair-with-a-new-guard-naming-an-unbound-variable": (
+            "rule 'n': guard variable 'T9' does not appear in the precondition"
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(LOOKALIKES))
@@ -583,6 +676,22 @@ class TestRuleSegmentMemo:
         monkeypatch.undo()
         alone = parse_outcome(only_rule_line(text, j))
         if code is None:
-            assert together[-len(alone) :] == alone and alone[0].name == "a->b|c"
+            assert together[-len(alone) :] == alone and alone[0].name == line.split('"')[1]
         else:
             assert together == alone and alone[:2] == (code, j + 1)
+            assert self.MESSAGES.get(name, "") in alone[3]
+
+    def test_nothing_is_kept_between_parses(self):
+        # The same rule lines under a constant of another sort: the second
+        # parse finds the sort error its own declarations make.
+        first = PRE + GOOD_RULE + "\n" + INIT
+        second = first.replace("const d1 : Id", "sort Zone\nconst d1 : Zone")
+        assert parse_outcome(first)
+        diagnostic = (
+            "sort",
+            8,
+            73,
+            "8:73: [sort] constant 'd1' has sort 'Zone', expected 'Id'",
+        )
+        assert parse_outcome(second) == diagnostic
+        assert parse_outcome(first) and parse_outcome(second) == diagnostic

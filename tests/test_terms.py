@@ -15,7 +15,7 @@ from tmsr import (
     fact_size,
     fact_text,
 )
-from tmsr.terms import normalize_term, term_size, term_text
+from tmsr.terms import insert_canonical, normalize_term, term_size, term_text
 
 
 def ts(fact, t):
@@ -139,6 +139,23 @@ class TestCanonicalSequence:
             again = Configuration(tuple(shuffled))
             assert again == TWO_DRONE_CONFIG
             assert again.facts == TWO_DRONE_CONFIG.facts
+
+    def test_distinct_facts_that_print_alike_have_one_order(self):
+        # Only the Python API builds a constant named like a numeral.
+        a, b = ts(Fact("P", (Const("1"),)), 0), ts(Fact("P", (1,)), 0)
+        clock, later = ts(Fact("Time"), 0), ts(Fact("P", (2,)), 0)
+        assert fact_text(a.fact) == fact_text(b.fact) and a != b
+        first = Configuration((a, b, clock, later))
+        for facts in [(b, a, clock, later), (later, clock, b, a), (a, later, b, clock)]:
+            again = Configuration(facts)
+            assert again == first and again.facts == first.facts
+            assert hash(again) == hash(first)
+        for order in [(a, b), (b, a), (a, b, a), (b, a, b)]:
+            facts = list(Configuration((clock, later)).facts)
+            for tf in order:
+                insert_canonical(facts, tf)
+            assert facts == list(Configuration(tuple(facts)).facts)
+            assert Configuration(tuple(facts)) == Configuration((*order, clock, later))
 
 
 class TestCachedHashes:
