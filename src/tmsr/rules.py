@@ -127,6 +127,12 @@ class RuleSides:
     past_bounds: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # The time variables a guard may read: the clock's and the patterns'.
     bound: frozenset[str] = field(init=False, repr=False, compare=False)
+    # The largest creation offset, 0 without created facts: the sides are
+    # progressive iff it is at least 1.
+    max_offset: int = field(init=False, repr=False, compare=False)
+    # As many facts created as consumed (the clock and preserved facts sit
+    # on both sides).
+    balanced: bool = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -145,9 +151,14 @@ class RuleSides:
         fields["patterns"] = patterns
         fields["past_bounds"] = tuple([p.tvar for p in consumed])
         fields["bound"] = frozenset([time_var, *[p.tvar for p in patterns]])
+        fields["balanced"] = len(consumed) == len(created)
+        max_offset = 0
         for cf in created:
             if cf.offset < 0:
                 raise RuleError("negative creation offset")
+            if cf.offset > max_offset:
+                max_offset = cf.offset
+        fields["max_offset"] = max_offset
         created_vars = [v for cf in created for v in fact_vars(cf.fact)]
         if created_vars:
             bound_vars = {v for p in patterns for v in fact_vars(p.fact)}
@@ -227,8 +238,25 @@ class Rule:
         """The sides' rewrite plan, looked up once per rule."""
         return self.sides.rewrite_plan
 
-    def max_creation_offset(self) -> int:
-        return max((cf.offset for cf in self.created), default=0)
+    @cached_property
+    def text(self) -> str:
+        """The rule's line in a spec file, built on first use: a rule that
+        several specs share is printed once."""
+        s = self.sides
+        lhs = [f"{TIME}@{s.time_var}"]
+        lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.preserved]
+        lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.consumed]
+        rhs = [f"{TIME}@{s.time_var}"]
+        rhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.preserved]
+        for cf in s.created:
+            if cf.offset == 0:
+                rhs.append(f"{fact_text(cf.fact)}@{s.time_var}")
+            else:
+                rhs.append(f"{fact_text(cf.fact)}@({s.time_var}+{cf.offset})")
+        guard = ""
+        if self.guard:
+            guard = " | " + ", ".join(c.text() for c in self.guard)
+        return f'rule "{self.name}": {", ".join(lhs)}{guard} -> {", ".join(rhs)}'
 
 
 def tick(c: Configuration) -> Configuration:
@@ -306,6 +334,13 @@ class CriticalPair:
     def plan(self) -> _MatchPlan:
         """The patterns compiled for the matcher, built on first use."""
         return _compile(self.patterns, self.guard, (), ())
+
+    @cached_property
+    def text(self) -> str:
+        """The pair's line in a spec file, built on first use."""
+        pats = ", ".join(f"{fact_text(q.fact)}@{q.tvar}" for q in self.patterns)
+        guard = " | " + ", ".join(c.text() for c in self.guard) if self.guard else ""
+        return f'critical "{self.name}": {{ {pats}{guard} }}'
 
 
 def expand_critical_pair(
@@ -881,7 +916,7 @@ def check_balanced(sys: System) -> list[str]:
     """Names of the unbalanced rules, in rule order. The clock and preserved
     facts sit on both sides, so a rule is balanced iff it creates as many
     facts as it consumes."""
-    return [r.name for r in sys.rules if len(r.consumed) != len(r.created)]
+    return [r.name for r in sys.rules if not r.sides.balanced]
 
 
 def check_progressive(sys: System) -> list[str]:
@@ -895,7 +930,7 @@ def check_progressive(sys: System) -> list[str]:
             "progressive check requires a balanced system; unbalanced rules: "
             + ", ".join(unbalanced)
         )
-    return [r.name for r in sys.rules if not any(cf.offset >= 1 for cf in r.created)]
+    return [r.name for r in sys.rules if r.sides.max_offset < 1]
 
 
 def compute_dmax(
@@ -908,7 +943,7 @@ def compute_dmax(
         for tf in init:
             best = max(best, tf.ts)
     for r in sys.rules:
-        best = max(best, r.max_creation_offset())
+        best = max(best, r.sides.max_offset)
         for g in r.guard:
             best = max(best, abs(g.offset))
     best = max(best, cs.max_offset())

@@ -468,6 +468,19 @@ class SpecParser:
         argsorts = () if name == TIME else self.preds.get(name)
         if argsorts is None:
             raise cur.error("sort", f"undeclared predicate {name!r}", i)
+        if not argsorts:
+            # A nullary fact, bare (Time@T) or written with "()", is keyed
+            # by its name token alone; a "(" not closed at once is left to
+            # the full parse below, which diagnoses it.
+            end = i + 1
+            if toks[end] == "(" and toks[end + 1] == ")":
+                end += 2
+            if toks[end] != "(":
+                key = (name,)
+                fact = self.flat_facts.get(key)
+                if fact is None:
+                    fact = self.flat_facts[key] = Fact(name)
+                return fact, end
         # A flat fact, one token per argument, spans 2 * arity + 2 tokens.
         # Once such tokens have parsed to a ground fact, the same tokens
         # parse to that same fact again: their parse reads no variable.
@@ -909,33 +922,6 @@ def parse_term_text(sig_or_spec, text: str, expected: str, line: int = 1) -> Ter
 # Printer
 
 
-def _rule_text(r: Rule) -> str:
-    s = r.sides
-    lhs = [f"{TIME}@{s.time_var}"]
-    lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.preserved]
-    lhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.consumed]
-    rhs = [f"{TIME}@{s.time_var}"]
-    rhs += [f"{fact_text(p.fact)}@{p.tvar}" for p in s.preserved]
-    for cf in s.created:
-        if cf.offset == 0:
-            rhs.append(f"{fact_text(cf.fact)}@{s.time_var}")
-        else:
-            rhs.append(f"{fact_text(cf.fact)}@({s.time_var}+{cf.offset})")
-    guard = ""
-    if r.guard:
-        guard = " | " + ", ".join(c.text() for c in r.guard)
-    return f'rule "{r.name}": {", ".join(lhs)}{guard} -> {", ".join(rhs)}'
-
-
-def _critical_text(p: CriticalPair) -> str:
-    pats = ", ".join(f"{fact_text(q.fact)}@{q.tvar}" for q in p.patterns)
-    if p.guard:
-        guard = " | " + ", ".join(c.text() for c in p.guard)
-    else:
-        guard = ""
-    return f'critical "{p.name}": {{ {pats}{guard} }}'
-
-
 def print_spec(spec: SpecFile) -> str:
     sig = spec.system.signature
     lines = [HEADER]
@@ -954,10 +940,10 @@ def print_spec(spec: SpecFile) -> str:
             suffix = f" : {' '.join(argsorts)}" if argsorts else ""
             lines.append(f"pred {name}{suffix}")
     for r in spec.system.rules:
-        lines.append(_rule_text(r))
+        lines.append(r.text)
     lines.append("init: " + spec.init.text())
     for p in spec.critical.pairs:
-        lines.append(_critical_text(p))
+        lines.append(p.text)
     params = [f"k={spec.system.max_fact_size}"]
     if spec.system.dmax_override is not None:
         params.append(f"dmax={spec.system.dmax_override}")

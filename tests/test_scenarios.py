@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from support import brute_force_sat, machine_runs_forever
+from support import all_small_cnfs, brute_force_sat, machine_runs_forever
 
 from tmsr import (
     Configuration,
@@ -21,10 +21,12 @@ from tmsr import (
     survivability,
     validate_trace,
 )
+from tmsr.rules import CriticalPair, Rule
 from tmsr.scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_tm
 from tmsr.scenarios.drone import GeneratorError, greedy_action
 from tmsr.scenarios.sat import CnfError
 from tmsr.scenarios.turing import TmError
+from tmsr.specfile import parse_spec, print_spec
 from tmsr.terms import fact_text
 
 
@@ -208,6 +210,49 @@ class TestSatGenerator:
             spec = gen_3sat(Cnf3(p, clauses))
             v = bounded_realizability(spec.system, spec.init, spec.critical, n)
             assert (v.outcome == HOLDS) == brute_force_sat(p, clauses)
+
+    def test_equal_rules_are_one_object(self):
+        # Clause 1, position 1, literal 1, not the last clause, in both.
+        a = gen_3sat(Cnf3(2, ((1, -2, 2), (-1, -1, 2))))
+        b = gen_3sat(Cnf3(3, ((1, 3, 3), (2, -3, -1))))
+        c = gen_3sat(Cnf3(1, ((1, 1, 1),)))  # clause 1 is the last one here
+        for name in ("clause1-lit1", "set1-true", "set1-false"):
+            ra = [r for r in a.system.rules if r.name == name]
+            rb = [r for r in b.system.rules if r.name == name]
+            assert ra and len(ra) == len(rb) and all(x is y for x, y in zip(ra, rb))
+            assert ra[0].plan is rb[0].plan and ra[0].sides is ra[-1].sides
+        last = [r for r in c.system.rules if r.name == "clause1-lit1"]
+        assert last[0] != [r for r in a.system.rules if r.name == "clause1-lit1"][0]
+        assert fact_text(last[0].created[0].fact) == "Itop"
+        assert a.critical.pairs[1] is gen_3sat(Cnf3(3, ((2, 3, 3), (-1, 2, -1)))).critical.pairs[1]
+        # Positions 2 and 3 of b's first clause hold one literal (3), those
+        # of a's do not (-2 and 2): equal sides are one object.
+        by_name = {r.name: r for r in b.system.rules}
+        assert by_name["clause1-lit2"].sides is by_name["clause1-lit3"].sides
+        by_name = {r.name: r for r in a.system.rules}
+        assert by_name["clause1-lit2"].sides is not by_name["clause1-lit3"].sides
+
+    def test_shared_rules_keep_each_formula_its_own(self):
+        a = Cnf3(2, ((1, -2, 2), (-1, -1, 2)))
+        b = Cnf3(3, ((1, 2, 3), (-1, -2, -3), (2, -3, 1)))
+        runs = []
+        for f in (a, b, a):
+            spec = gen_3sat(f)
+            v = bounded_realizability(spec.system, spec.init, spec.critical, len(f.clauses))
+            runs.append((print_spec(spec), v.outcome, v.witness, v.counterexample))
+        assert runs[0] == runs[2] and runs[0][0] != runs[1][0]
+        text = runs[0][0]
+        assert print_spec(parse_spec(text)) == text
+
+    def test_cached_text_is_the_text_of_the_rule(self):
+        for clauses in list(all_small_cnfs(max_vars=3, max_clauses=3))[::211]:
+            p = max(abs(lit) for clause in clauses for lit in clause)
+            spec = gen_3sat(Cnf3(p, clauses))
+            print_spec(spec)
+            for r in spec.system.rules:
+                assert r.text == Rule.text.func(r)
+            for pair in spec.critical.pairs:
+                assert pair.text == CriticalPair.text.func(pair)
 
     def test_validation(self):
         with pytest.raises(CnfError):

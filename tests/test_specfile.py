@@ -299,12 +299,18 @@ MALFORMED_FACTS = {
     "fact-trailing": "P(p1,0,1) P",
     "fact-stray": "P(p1,0,1)!",
     "fact-non-ascii-digit": "P(p1,0,\u0661)",
+    "nullary-unclosed": "Time(",
+    "nullary-with-argument": "Time(1)",
+    "nullary-parentheses-twice": "Time()(",
 }
 MALFORMED_TERMS = {
     "term-wrong-sort": ("p1", "Nat"),
     "term-empty": ("", "Nat"),
 }
 DIAGNOSTICS = {
+    "nullary-unclosed": ("syntax", 1, 5, "1:5: [syntax] unexpected end of line"),
+    "nullary-with-argument": ("syntax", 1, 6, "1:6: [syntax] expected ')', found '1'"),
+    "nullary-parentheses-twice": ("syntax", 1, 7, "1:7: [syntax] trailing input '('"),
     "stray-character": ("syntax", 8, 13, "8:13: [syntax] unexpected character '$'"),
     "stray-in-rule-before-later-error": (
         "syntax",
@@ -530,6 +536,36 @@ init: Time@0, F(3)@0, U(a)@0, Q@0
         assert threes[0] is threes[1]
         nullary = [p.fact for r in together.system.rules for p in r.patterns if p.fact.pred == "Q"]
         assert nullary and all(f == Fact("Q") for f in nullary)
+
+    NULLARY = "tmsr-spec 1\npred A1\ninit: Time@0, A1@0\n"
+
+    @pytest.mark.parametrize("written", ["A1()", " A1 ( ) ", "A1", "Time()", "Time"])
+    def test_nullary_fact_with_or_without_parentheses(self, written):
+        name = written.strip(" ()")
+        spec = parse_spec(self.NULLARY)
+        assert parse_fact_text(spec, written) == Fact(name)
+        other = "A1" if name == "Time" else "Time"
+        spec = parse_spec(f"tmsr-spec 1\npred A1\ninit: {written}@0, {other}@0\n")
+        assert spec.init.facts == parse_spec(self.NULLARY).init.facts
+        if name == "A1":
+            line = f'rule "r": Time@T, {written}@Ta -> Time@T, A1@(T+1)\n'
+            (rule,) = parse_spec(self.NULLARY.replace("init:", line + "init:")).system.rules
+            assert rule.consumed[0].fact is rule.created[0].fact
+
+    def test_one_object_per_distinct_nullary_fact(self):
+        text = print_spec(gen_3sat(Cnf3(2, ((1, -2, 2), (-1, -1, 2)))))
+        assert "A1@Ta" in text and "I2@Tc" in text
+        spec = parse_spec(text + 'rule "paren": Time@T, A1()@Ta, I2()@Tc -> Time@T, A1()@Ta, Itop@(T+1)\n')
+        facts = [tf.fact for tf in spec.init]
+        for r in spec.system.rules:
+            facts += [p.fact for p in r.patterns] + [cf.fact for cf in r.created]
+        for pair in spec.critical.pairs:
+            facts += [p.fact for p in pair.patterns]
+        assert all(not f.args for f in facts)
+        by_value = {}
+        for f in facts:
+            assert by_value.setdefault(f, f) is f
+        assert {Fact("A1"), Fact("I2"), Fact("Time")} <= set(by_value)
 
     def test_variable_after_a_cached_fact_keeps_its_diagnostic(self):
         # U(X) binds X at sort Id in each rule; a U(X) cached from the rule
