@@ -298,6 +298,9 @@ def _artifact_mismatch(parsed) -> str | None:
 def _cmd_replay(args) -> int:
     spec, text = _load_spec(args.spec)
     parsed = parse_report(_read(args.report), spec)
+    if parsed.outcome == UNKNOWN:
+        print("report is undecided: nothing to certify")
+        return EXIT_UNKNOWN
 
     if parsed.digest and parsed.digest != input_digest(text):
         print("trace INVALID: the report's input digest is not that of the spec")

@@ -16,10 +16,24 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
-from .search import Lasso, Trace, TraceStep, Verdict
+from .search import (
+    BOUNDED_REALIZABILITY,
+    BOUNDED_SURVIVABILITY,
+    FAILS,
+    HOLDS,
+    Lasso,
+    REALIZABILITY,
+    SURVIVABILITY,
+    Trace,
+    TraceStep,
+    UNKNOWN,
+    Verdict,
+)
 from .specfile import SpecFile, SpecParser
 from .terms import (
+    TIME,
     Configuration,
     Fact,
     Substitution,
@@ -98,7 +112,7 @@ def report_json(report: VerdictReport) -> dict:
     out["statistics"] = stats
 
     trace = None
-    if v.outcome == "holds" and isinstance(v.witness, Trace):
+    if v.outcome == HOLDS and isinstance(v.witness, Trace):
         trace = v.witness
     elif v.counterexample is not None:
         trace = v.counterexample
@@ -121,7 +135,52 @@ def report_json(report: VerdictReport) -> dict:
 
 
 def emit_report(report: VerdictReport) -> str:
-    return json.dumps(report_json(report), indent=2) + "\n"
+    """``report_json``'s document as ``json.dumps(..., indent=2)`` writes
+    it, and a newline. With an indent, json formats in pure Python; the
+    writer below gives the same bytes for the types a report holds in
+    about half the time."""
+    out: list[str] = []
+    _write(report_json(report), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` in json's indented form; ``newline`` is the line
+    break and indent its items follow."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    else:
+        out.append(json.dumps(value))  # a float or a boolean
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +225,62 @@ def _field(obj: dict, key: str, kind, what: str):
 
 class _ReportReader:
     """Reads the configurations and steps of one report against its spec.
-    Every fact text goes through one parser, and a fact text met again
-    reuses the ``Fact`` parsed the first time (facts are immutable)."""
+    Each distinct fact text goes through the one parser, which checks that
+    the fact is ground and well-sorted, and each distinct configuration
+    entry, a (fact text, stamp) pair, is built once: an equal one met
+    again reuses it (facts are immutable). Each configuration is
+    then checked for its order and its one Time fact."""
 
     def __init__(self, spec: SpecFile):
         self.sig = spec.system.signature
         self.parser = SpecParser.for_signature(spec)
         self.facts: dict[str, Fact] = {}
+        # (fact text, stamp) -> (timestamped fact, canonical key, is Time)
+        self.entries: dict[tuple[str, int], tuple[TimestampedFact, tuple[int, str], bool]] = {}
 
-    def fact(self, text: str) -> Fact:
-        fact = self.facts.get(text)
-        if fact is None:
-            fact = self.facts[text] = self.parser.fact_text(text)
-        return fact
+    def entry(self, obj) -> tuple[TimestampedFact, tuple[int, str], bool]:
+        """A configuration entry, checked, and built if it is new."""
+        _require(obj, dict, "a configuration entry")
+        text = _field(obj, "fact", str, "a configuration entry")
+        ts = _field(obj, "ts", int, "a configuration entry")
+        got = self.entries.get((text, ts))
+        if got is None:
+            fact = self.facts.get(text)
+            if fact is None:
+                fact = self.facts[text] = self.parser.fact_text(text)
+            got = (TimestampedFact(fact, ts), (ts, fact_text(fact)), fact.pred == TIME)
+            self.entries[text, ts] = got
+        return got
 
     def config(self, arr: list) -> Configuration:
+        entries = self.entries
         facts = []
+        clocks = 0
+        ordered = True
+        last_key = last_fact = None
         for entry in arr:
-            _require(entry, dict, "a configuration entry")
-            fact = self.fact(_field(entry, "fact", str, "a configuration entry"))
-            facts.append(TimestampedFact(fact, _field(entry, "ts", int, "a configuration entry")))
-        return Configuration(tuple(facts))
+            got = None
+            # A stored entry is taken only for a text and an exact integer
+            # stamp: True and 1.0 equal 1 as dict keys.
+            if type(entry) is dict:
+                text, ts = entry.get("fact"), entry.get("ts")
+                if type(text) is str and type(ts) is int:
+                    got = entries.get((text, ts))
+            if got is None:
+                got = self.entry(entry)
+            tf, key, is_time = got
+            if last_key is not None and (
+                key < last_key or (key == last_key and tf.fact != last_fact)
+            ):
+                ordered = False
+            last_key, last_fact = key, tf.fact
+            clocks += is_time
+            facts.append(tf)
+        if ordered and clocks == 1:
+            # Facts in canonical order, each ground, one of them Time: what
+            # the constructor would build from them, without its sort.
+            return Configuration._canonical(tuple(facts))
+        return Configuration(tuple(facts))  # orders the facts, or raises
 
     def subst(self, obj) -> Substitution | None:
         if obj is None:
@@ -221,6 +315,10 @@ class _ReportReader:
         return tuple(steps)
 
 
+_MODES = (REALIZABILITY, SURVIVABILITY, BOUNDED_REALIZABILITY, BOUNDED_SURVIVABILITY)
+_OUTCOMES = (HOLDS, FAILS, UNKNOWN)
+
+
 def parse_report(text: str, spec: SpecFile) -> ParsedReport:
     try:
         obj = json.loads(text)
@@ -228,7 +326,11 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
         raise ReportError(f"not valid JSON: {exc}") from None
     _require(obj, dict, "a report")
     mode = _field(obj, "mode", str, "the report")
+    if mode not in _MODES:
+        raise ReportError(f"unknown mode {mode!r}")
     outcome = _field(obj, "outcome", str, "the report")
+    if outcome not in _OUTCOMES:
+        raise ReportError(f"unknown outcome {outcome!r}")
     ticks = obj.get("ticks")
     if ticks is not None:
         _require(ticks, int, "field 'ticks' of the report")

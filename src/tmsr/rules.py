@@ -18,7 +18,6 @@ consumed fact, in which case it is absorbed into the materialized bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from typing import Container, Iterable, NamedTuple, Sequence
 
@@ -54,6 +53,25 @@ TICK_LABEL = "tick"
 
 class RuleError(TmsrError):
     pass
+
+
+class _lazy:
+    """An attribute computed on first access and stored in the instance
+    dict, where later lookups find it before this descriptor. Unlike
+    ``functools.cached_property`` in Python 3.11, it takes no lock."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class FactSizeError(TmsrError):
@@ -166,7 +184,7 @@ class RuleSides:
                 if v not in bound_vars:
                     raise RuleError(f"created fact uses unbound variable {v.name!r}")
 
-    @cached_property
+    @_lazy
     def rewrite_plan(self) -> _RewritePlan:
         """What ``rewrite`` needs of a rule, compiled on first use: the
         consumed patterns as (fact, ground, tvar), the created facts as
@@ -220,6 +238,17 @@ class Rule:
         if guard:
             _check_guard(name, guard, sides.bound)
 
+    @classmethod
+    def checked(cls, name: str, sides: RuleSides, guard: tuple[TimeConstraint, ...]) -> Rule:
+        """The rule, for a guard already checked over these sides (as the
+        guard of another rule): no check is made."""
+        r = object.__new__(cls)
+        fields = r.__dict__
+        fields["name"] = name
+        fields["sides"] = sides
+        fields["guard"] = guard
+        return r
+
     time_var = property(attrgetter("sides.time_var"))
     preserved = property(attrgetter("sides.preserved"))
     consumed = property(attrgetter("sides.consumed"))
@@ -227,18 +256,18 @@ class Rule:
     patterns = property(attrgetter("sides.patterns"))
     past_bounds = property(attrgetter("sides.past_bounds"))
 
-    @cached_property
+    @_lazy
     def plan(self) -> _MatchPlan:
         """The precondition compiled for the matcher (see Matching below),
         built on first use: generators that only print a spec never match."""
         return _compile(self.patterns, self.guard, (self.time_var,), self.past_bounds)
 
-    @cached_property
+    @_lazy
     def rewrite_plan(self) -> _RewritePlan:
         """The sides' rewrite plan, looked up once per rule."""
         return self.sides.rewrite_plan
 
-    @cached_property
+    @_lazy
     def text(self) -> str:
         """The rule's line in a spec file, built on first use: a rule that
         several specs share is printed once."""
@@ -330,12 +359,12 @@ class CriticalPair:
                         "not bound by the patterns"
                     )
 
-    @cached_property
+    @_lazy
     def plan(self) -> _MatchPlan:
         """The patterns compiled for the matcher, built on first use."""
         return _compile(self.patterns, self.guard, (), ())
 
-    @cached_property
+    @_lazy
     def text(self) -> str:
         """The pair's line in a spec file, built on first use."""
         pats = ", ".join(f"{fact_text(q.fact)}@{q.tvar}" for q in self.patterns)
@@ -398,7 +427,7 @@ class System:
                         f"the declared fact-size bound {self.max_fact_size}"
                     )
 
-    @cached_property
+    @_lazy
     def index(self) -> _RuleIndex:
         """The rule index (see Matching below), built on first use:
         generators that only print a spec never match."""
@@ -709,16 +738,16 @@ class _RuleIndex(NamedTuple):
     unkeyed: tuple[tuple[int, frozenset[str]], ...]
 
 
-def _pinned_ages(r: Rule) -> dict[str, int]:
+def _pinned_ages(time_var: str, guard: Sequence[TimeConstraint]) -> dict[str, int]:
     """The time variables whose age the guard pins: the clock variable
     (age 0) and each Tp in an atom T = Tp + k (age k) or Tp = T + k
     (age -k), where T is the clock variable."""
-    ages = {r.time_var: 0}
-    for c in r.guard:
+    ages = {time_var: 0}
+    for c in guard:
         if c.rel == EQUAL:
-            if c.left == r.time_var:
+            if c.left == time_var:
                 ages.setdefault(c.right, c.offset)
-            elif c.right == r.time_var:
+            elif c.right == time_var:
                 ages.setdefault(c.left, -c.offset)
     return ages
 
@@ -727,31 +756,46 @@ def _build_index(rules: Sequence[Rule]) -> _RuleIndex:
     # Per pattern fact: key ids by age (None for the plain key), or None
     # when the fact is not ground.
     keys_of: dict[Fact, dict[int | None, int] | None] = {}
+    # Rules share sides and guards (the spec loader builds each distinct
+    # one once), so the ground patterns of each distinct sides, as (key ids
+    # by age, time variable), and the pinned ages of each distinct guard
+    # over a clock variable are found once, by identity.
+    ground_of: dict[int, list[tuple[dict[int | None, int], str]]] = {}
+    ages_of: dict[tuple[int, str], dict[str, int]] = {}
     per_rule = []
     shared: list[int] = []  # key id -> number of rules with that key
     for r in rules:
-        ages = _pinned_ages(r)
-        keys = set()
-        for p in r.patterns:
-            got = keys_of.get(p.fact, False)
-            if got is False:
-                got = keys_of[p.fact] = {} if _normal_ground_args(p.fact.args) else None
-            if got is not None:
-                age = ages.get(p.tvar)
-                k = got.get(age)
-                if k is None:
-                    k = got[age] = len(shared)
-                    shared.append(0)
-                keys.add(k)
-        for k in keys:
-            shared[k] += 1
+        sides = r.sides
+        ground = ground_of.get(id(sides))
+        if ground is None:
+            ground = ground_of[id(sides)] = []
+            for p in sides.patterns:
+                got = keys_of.get(p.fact, False)
+                if got is False:
+                    got = keys_of[p.fact] = {} if _normal_ground_args(p.fact.args) else None
+                if got is not None:
+                    ground.append((got, p.tvar))
+        guard_key = (id(r.guard), sides.time_var)
+        ages = ages_of.get(guard_key)
+        if ages is None:
+            ages = ages_of[guard_key] = _pinned_ages(sides.time_var, r.guard)
+        keys = []
+        for got, tvar in ground:
+            age = ages.get(tvar)
+            k = got.get(age)
+            if k is None:
+                k = got[age] = len(shared)
+                shared.append(0)
+            if k not in keys:
+                keys.append(k)
+                shared[k] += 1
         per_rule.append(keys)
     keyed: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in shared]
     unkeyed = []
     for i, keys in enumerate(per_rule):
         if keys:
             best = min(keys, key=shared.__getitem__)
-            keyed[best].append((i, tuple(keys - {best})))
+            keyed[best].append((i, tuple([k for k in keys if k != best])))
         else:
             unkeyed.append((i, frozenset(p.fact.pred for p in rules[i].patterns)))
     by_fact = {f: (ids.pop(None, -1), ids) for f, ids in keys_of.items() if ids is not None}

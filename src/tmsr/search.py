@@ -22,7 +22,10 @@ As every state has a successor, it holds exactly when no critical state
 is reachable. So the breadth-first search runs first, and the shortest
 path to a critical state is the counterexample. When there is none, the
 depth-first search supplies the witness; nothing it meets is critical,
-so it only follows first successors.
+so it only follows first successors. Under a tick budget those are
+concrete and the breadth-first search has expanded them all, so it
+records each node's first successor and the witness is read off those
+records (``_first_successor_run``) without a second search.
 
 Two structural invariants are asserted on every explored path and
 counted in ``invariant_counters``: strictly fewer instantaneous steps
@@ -228,6 +231,56 @@ def _decide(
     budget: SearchBudget | None,
 ) -> Verdict:
     """The preamble the four procedures share, then the searches of ``mode``."""
+    s = _new_search(sys, init, cs, n, budget)
+    stats = s.stats
+
+    def done(outcome: str, **found) -> Verdict:
+        stats.elapsed_ms = s.clock.elapsed_ms()
+        return Verdict(mode, outcome, stats, **found)
+
+    hit = is_critical(cs, init)
+    if hit is not None:
+        stats.states = 1
+        return done(
+            FAILS,
+            counterexample=Trace(init),
+            critical_pair=hit[0],
+            note="initial configuration is critical",
+        )
+
+    survival = mode in (SURVIVABILITY, BOUNDED_SURVIVABILITY)
+    if survival:
+        first = None if n is None else {}
+        outcome, found, pair = _critical_reach(s, first)
+        if outcome == FAILS:
+            return done(FAILS, counterexample=found, critical_pair=pair)
+        if outcome == UNKNOWN:
+            return done(UNKNOWN, note=found)
+        if first is not None:
+            return done(HOLDS, witness=_first_successor_run(s, first))
+    outcome, found = _compliant_run(s)
+    if outcome == HOLDS:
+        return done(HOLDS, witness=found)
+    if outcome == UNKNOWN:
+        return done(UNKNOWN, note=found)
+    if n is None:
+        no_run = "no compliant cycle reachable"
+    else:
+        no_run = f"no compliant trace with exactly {n} clock advances"
+    if survival:
+        raise EngineInvariantError(f"no critical state reachable, yet {no_run}")
+    return done(FAILS, note=no_run)
+
+
+def _new_search(
+    sys: System,
+    init: Configuration,
+    cs: CriticalSpec,
+    n: int | None,
+    budget: SearchBudget | None,
+) -> _Search:
+    """Check the input and set up the searches of one verdict; its clock
+    starts here."""
     offenders = check_progressive(sys)
     if offenders:
         raise VerifierInputError(
@@ -248,45 +301,11 @@ def _decide(
     stats = SearchStats(l_sigma_decimal=str(l_sigma), depth_cap=cap)
     if n is None:
         stats.symmetry = symmetric_classes(sys, cs)
-
-    def done(outcome: str, **found) -> Verdict:
-        stats.elapsed_ms = clock.elapsed_ms()
-        return Verdict(mode, outcome, stats, **found)
-
-    hit = is_critical(cs, init)
-    if hit is not None:
-        stats.states = 1
-        return done(
-            FAILS,
-            counterexample=Trace(init),
-            critical_pair=hit[0],
-            note="initial configuration is critical",
-        )
-
-    if n is None:
         unbounded = _unbounded_key(stats.symmetry, dmax)
         key = lambda config, ticks: unbounded(config)
-        no_run = "no compliant cycle reachable"
     else:
         key = lambda config, ticks: (config, ticks)
-        no_run = f"no compliant trace with exactly {n} clock advances"
-    s = _Search(sys, init, cs, n, key, cap, clock, stats)
-
-    survival = mode in (SURVIVABILITY, BOUNDED_SURVIVABILITY)
-    if survival:
-        outcome, found, pair = _critical_reach(s)
-        if outcome == FAILS:
-            return done(FAILS, counterexample=found, critical_pair=pair)
-        if outcome == UNKNOWN:
-            return done(UNKNOWN, note=found)
-    outcome, found = _compliant_run(s)
-    if outcome == HOLDS:
-        return done(HOLDS, witness=found)
-    if outcome == UNKNOWN:
-        return done(UNKNOWN, note=found)
-    if survival:
-        raise EngineInvariantError(f"no critical state reachable, yet {no_run}")
-    return done(FAILS, note=no_run)
+    return _Search(sys, init, cs, n, key, cap, clock, stats)
 
 
 def realizability(
@@ -401,13 +420,17 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
 # Breadth-first search for a critical state (shortest counterexample).
 
 
-def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
+def _critical_reach(
+    s: _Search, first: dict | None = None
+) -> tuple[str, Trace | str | None, int | None]:
     """Layered search over the same keys as ``_compliant_run``; a node
     with ``n`` clock advances is not expanded. Returns (FAILS, shortest
     path to a critical state, its pair index), (HOLDS, None, None) when no
     critical state is reachable, or (UNKNOWN, the note naming the spent
     budget, None). Like the depth-first search, it checks the budget for
-    every key generated."""
+    every key generated. ``first``, when given, maps the key of each node
+    expanded to its first successor as (label, subst, child, child key,
+    child ticks)."""
     sys, cs, n, init, key_of, stats = s.sys, s.cs, s.n, s.init, s.key, s.stats
     m = len(init)
     init_key = key_of(init, 0)
@@ -424,9 +447,13 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
             for key, config, ticks, run in layer:
                 if ticks == n:
                     continue
+                lead = first is not None
                 for label, subst, child in lazy_successors(sys, config):
                     child_ticks = ticks + (label == TICK_LABEL)
                     child_key = key_of(child, child_ticks)
+                    if lead:
+                        first[key] = (label, subst, child, child_key, child_ticks)
+                        lead = False
                     if child_key in parents:
                         continue
                     parents[child_key] = (key, label, subst, child)
@@ -443,6 +470,29 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
     finally:
         stats.states += len(parents)
         stats.max_depth = max(stats.max_depth, depth)
+
+
+def _first_successor_run(s: _Search, first: dict) -> Trace:
+    """The bounded witness, read off the first successors that
+    ``_critical_reach`` recorded once it found no critical state: from the
+    initial configuration to the n-th clock advance. It is the trace
+    ``_compliant_run`` would find and is counted as that search counts it:
+    nothing on the path is critical, and its keys are concrete, so that
+    search follows first successors and, as a repeated key would be a cycle
+    without a clock advance, never turns back."""
+    m = len(s.init)
+    key, ticks, run = s.key(s.init, 0), 0, 0
+    steps = []
+    while ticks != s.n:
+        _check_depth(len(steps), s.cap)
+        label, subst, child, key, ticks = first[key]
+        run = _check_run(run, label, m)
+        steps.append(TraceStep(label, subst, child))
+    stats = s.stats
+    stats.states += len(steps) + 1
+    stats.peak_frontier = max(stats.peak_frontier, len(steps))
+    stats.max_depth = max(stats.max_depth, len(steps) - 1)
+    return Trace(s.init, tuple(steps))
 
 
 def _chain(parents, init, key) -> Trace:

@@ -136,10 +136,10 @@ _BLANKS = " \t\n\r\f\v"
 # A rule, init or critical line; pass 1 keeps these as text.
 _DEFERRED_RE = re.compile(r"\s*(?:(rule|critical)(?![A-Za-z0-9_])|init\s*:)")
 
-# The keyword and name of a rule line whose rest holds no string, as the
-# rest of a well-formed rule line does. That rest splits into segments at
-# its first '->' and, before that, at its first '|'.
-_RULE_HEAD_RE = re.compile(r'\s*rule\s*"([^"]*)"(?=[^"]*$)', re.ASCII)
+# A stamp after '@' in a rule side: a time variable T, or (T+n).
+_STAMP_RE = re.compile(
+    r"\s*(?:([A-Z][A-Za-z0-9_]*)|\(\s*([A-Z][A-Za-z0-9_]*)\s*\+\s*(\d+)\s*\))\s*", re.ASCII
+)
 
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
@@ -239,9 +239,13 @@ class SpecParser:
         # Parsed rule segments by their texts; see _parse_rule.
         self.rule_lefts: dict[str, _Side] = {}
         self.rule_rights: dict[str, _Side] = {}
-        self.rule_guards: dict[tuple[str, str], tuple[TimeConstraint, ...]] = {}
-        self.rule_sides: dict[tuple[str, str], RuleSides] = {}
-        self.rule_alts: dict[tuple, list[tuple[TimeConstraint, ...]]] = {}
+        # The facts and stamps of rule sides by their texts (False where a
+        # text does not parse alone); see _side_patterns.
+        self.side_facts: dict[str, tuple[Fact, dict[str, str]] | bool] = {}
+        self.side_stamps: dict[str, tuple[str, int | None] | bool] = {}
+        self.rule_guards: dict[str, tuple[TimeConstraint, ...]] = {}
+        self.rule_sides: dict[tuple[str, str], tuple[RuleSides, tuple]] = {}
+        self.rule_alts: dict[tuple[str, tuple], tuple[tuple[TimeConstraint, ...], ...]] = {}
 
     @classmethod
     def for_signature(cls, sig_or_spec) -> "SpecParser":
@@ -289,6 +293,12 @@ class SpecParser:
                 content = content[:-1]
             if "#" in content:
                 content = self._strip_comment(content)
+            if header and content.startswith("rule "):
+                # A rule line as the printer writes it, taken at once.
+                if not clean or content.count('"') % 2:
+                    _check_chars(content, line)
+                self.rule_lines.append((line, content))
+                continue
             if not content.strip(_BLANKS):
                 continue
             if not header:
@@ -610,59 +620,72 @@ class SpecParser:
             i += 1
 
     def _parse_rule(self, line: int, text: str) -> tuple[Rule, ...]:
-        # A rule line splits at its first '->' and, before that, at its
-        # first '|' into three segments: the left side, the guard (with its
-        # bar, so that "|->" never takes the empty guard of a line without
-        # one) and the right side. A line that yielded rules stores each
-        # segment by its text, and the sides of its (left, right) pair as
-        # one RuleSides. A segment holds no string, so it splits at token
+        # A rule line of the form ``rule "name"`` and a rest with no quote
+        # splits at its first '->' and, before that, at its first '|' into
+        # three segments: the left side, the guard (with its bar, so that
+        # "|->" never takes the empty guard of a line without one) and the
+        # right side. A segment holds no string, so it splits at token
         # boundaries: its tokens are the same in every line that holds its
         # text, and it parses alone as within its line, except that a
-        # variable must keep one sort across the two sides. So a later line
-        # takes what is stored and parses only its new segments, alone. A
-        # line for which any of this fails takes the full parse, which
-        # raises its diagnostic.
-        head = _RULE_HEAD_RE.match(text)
-        if head is None:
+        # variable must keep one sort across the two sides. So each segment
+        # is parsed alone, once: a line that yielded rules stores each of
+        # its segments by its text, the sides of its (left, right) pair as
+        # one RuleSides, and its guard's alternatives, checked over those
+        # sides, by the guard's text and the shape of the sides they depend
+        # on. A later line takes what is stored. A line for which any of
+        # this fails takes the full parse, which raises its diagnostic.
+        head = text.split('"')
+        if len(head) != 3 or head[0].strip(_BLANKS) != "rule":
             # Never a well-formed line: the full parse finds its fault.
             name, left, guard, right = self._parse_rule_tokens(line, text)
             parts = self._classify(line, name, left[0], right[0])
-            return self._rules(line, name, None, guard, None, parts)[1]
-        name = head.group(1)
-        before, _, right_text = text[head.end() :].partition("->")
+            return self._rules(line, name, guard, None, parts)
+        _, name, rest = head
+        before, _, right_text = rest.partition("->")
         left_text, bar, guard_text = before.partition("|")
-        guard_key, sides_key = (bar, guard_text), (left_text, right_text)
+        guard_key, sides_key = bar + guard_text, (left_text, right_text)
+        sides = shape = None
+        stored = self.rule_sides.get(sides_key)
+        if stored is not None:
+            sides, shape = stored
+            alts = self.rule_alts.get((guard_key, shape))
+            if alts is not None:
+                if len(alts) == 1:
+                    return (Rule.checked(name, sides, alts[0]),)
+                return tuple([Rule.checked(name, sides, alt) for alt in alts])
         guard = self.rule_guards.get(guard_key)
-        sides = self.rule_sides.get(sides_key)
-        if guard is not None and sides is not None:
-            return self._rules(line, name, guard_key, guard, sides, None)[1]
         parts = left = right = None
-        if sides is None:
-            left = self.rule_lefts.get(left_text)
-            right = self.rule_rights.get(right_text)
-        if sides is not None or left is not None or right is not None:
-            try:
-                if guard is None:
-                    guard = self._guard_segment(line, bar, guard_text)
-                if sides is None:
-                    left = left or self._left_segment(line, left_text)
-                    right = right or self._right_segment(line, right_text)
-                    if all(left[1].get(v, sort) == sort for v, sort in right[1].items()):
-                        parts = self._classify(line, name, left[0], right[0])
-            except SpecParseError:
-                sides = parts = None
+        try:
+            if guard is None:
+                guard = self._guard_segment(line, bar, guard_text)
+            if sides is None:
+                left = self.rule_lefts.get(left_text) or self._left_segment(line, left_text)
+                right = self.rule_rights.get(right_text) or self._right_segment(line, right_text)
+                if all(left[1].get(v, sort) == sort for v, sort in right[1].items()):
+                    parts = self._classify(line, name, left[0], right[0])
+        except SpecParseError:
+            sides = parts = None
         if sides is None and parts is None:
             name, left, guard, right = self._parse_rule_tokens(line, text)
             parts = self._classify(line, name, left[0], right[0])
-        sides, rules = self._rules(line, name, guard_key, guard, sides, parts)
-        self.rule_guards[guard_key] = guard
-        self.rule_sides[sides_key] = sides
+        rules = self._rules(line, name, guard, sides, parts)
         if parts is not None:
+            sides = rules[0].sides
+            # What a guard's alternatives and their check depend on.
+            shape = (sides.time_var, sides.past_bounds, sides.bound)
+            self.rule_sides[sides_key] = sides, shape
             self.rule_lefts[left_text] = left
             self.rule_rights[right_text] = right
+        self.rule_guards[guard_key] = guard
+        self.rule_alts[guard_key, shape] = tuple([r.guard for r in rules])
         return rules
 
     def _left_segment(self, line: int, text: str) -> _Side:
+        blank, colon, patterns = text.partition(":")
+        if colon and not blank.strip(_BLANKS):
+            side = self._side_patterns(line, patterns, False)
+            if side is not None:
+                return side
         cur = _Cursor(text, line)
         if cur.toks[0] != ":":
             raise cur.expected(0, repr(":"))
@@ -672,11 +695,70 @@ class SpecParser:
         return tuple(lhs), vars_seen
 
     def _right_segment(self, line: int, text: str) -> _Side:
+        side = self._side_patterns(line, text, True)
+        if side is not None:
+            return side
         cur = _Cursor(text, line)
         vars_seen: dict[str, str] = {}
         rhs, i = self._parse_created(cur, 0, vars_seen)
         cur.end(i)
         return rhs, vars_seen
+
+    def _side_patterns(self, line: int, text: str, right: bool) -> _Side | None:
+        """The patterns of a rule side, read pattern by pattern: the text
+        splits at each '@' and, after each '@' but the last, at the first
+        ',' into facts and stamps. Each distinct fact text and stamp text is
+        parsed alone, once per parser. None when the text does not split so
+        or a piece does not parse alone; the side then takes the token
+        parse. '@' and ',' are tokens by themselves and a stamp holds no
+        ',', so the split falls between the patterns, and where this read
+        succeeds, the token parse gives the same patterns."""
+        chunks = text.split("@")
+        last = len(chunks) - 1
+        if not last:
+            return None
+        facts, stamps = self.side_facts, self.side_stamps
+        out = []
+        sorts: dict[str, str] = {}
+        piece = chunks[0]
+        for k in range(1, last + 1):
+            stamp_text, comma, next_piece = chunks[k].partition(",")
+            if (k < last) != bool(comma):
+                return None
+            fact = facts.get(piece)
+            if fact is None:
+                fact = facts[piece] = self._fact_alone(line, piece)
+            stamp = stamps.get(stamp_text)
+            if stamp is None:
+                m = _STAMP_RE.fullmatch(stamp_text)
+                stamp = False if m is None else (m[1], None) if m[1] else (m[2], int(m[3]))
+                stamps[stamp_text] = stamp
+            if not (fact and stamp):
+                return None
+            fact, fact_sorts = fact
+            tvar, offset = stamp
+            if right:
+                out.append((fact, tvar, offset or 0))
+            elif offset is None:
+                out.append((fact, tvar))
+            else:
+                return None
+            for v, sort in fact_sorts.items():
+                if sorts.setdefault(v, sort) != sort:
+                    return None
+            piece = next_piece
+        return tuple(out), sorts
+
+    def _fact_alone(self, line: int, text: str) -> tuple[Fact, dict[str, str]] | bool:
+        """The fact the text holds and its variables' sorts, or False."""
+        cur = _Cursor(text, line)
+        vars_seen: dict[str, str] = {}
+        try:
+            fact, i = self._parse_fact(cur, 0, vars_seen)
+            cur.end(i)
+        except SpecParseError:
+            return False
+        return fact, vars_seen
 
     def _guard_segment(self, line: int, bar: str, text: str) -> tuple[TimeConstraint, ...]:
         if not bar:
@@ -690,29 +772,22 @@ class SpecParser:
         self,
         line: int,
         name: str,
-        guard_key: tuple[str, str] | None,
         guard: tuple[TimeConstraint, ...],
         sides: RuleSides | None,
         parts: _Parts | None,
-    ) -> tuple[RuleSides, tuple[Rule, ...]]:
-        """The rules of one line: one per alternative of its guard over its
-        sides, given as a RuleSides or as the parts of a new one. The
-        alternatives (``>=`` expanded) are stored by the guard's key and
-        the clock and consumed time variables."""
+    ) -> tuple[Rule, ...]:
+        """The rules of one line: one per alternative of its guard (``>=``
+        expanded) over its sides, given as a RuleSides or as the parts of a
+        new one."""
         if sides is not None:
             time_var, past = sides.time_var, sides.past_bounds
         else:
-            time_var, past = parts[0], tuple([p.tvar for p in parts[2]])
-        key = (guard_key, time_var, past)
-        alts = self.rule_alts.get(key)
-        if alts is None:
-            alts = expand_guard(guard, time_var, frozenset(past))
-            if guard_key is not None:
-                self.rule_alts[key] = alts
+            time_var, past = parts[0], [p.tvar for p in parts[2]]
+        alts = expand_guard(guard, time_var, frozenset(past))
         try:
             if sides is None:
                 sides = rule_sides(name, alts[0], *parts)
-            return sides, tuple([Rule(name, sides, alt) for alt in alts])
+            return tuple([Rule(name, sides, alt) for alt in alts])
         except RuleError as exc:
             raise SpecParseError("syntax", str(exc), line) from None
 

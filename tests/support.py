@@ -48,6 +48,7 @@ from tmsr import (
     tick,
 )
 from tmsr.rules import GREATER
+from tmsr.scenarios import TmSpec
 from tmsr.specfile import SpecParseError, parse_spec
 from tmsr.terms import NAT, TIME, fact_vars, term_text
 
@@ -434,6 +435,23 @@ def all_small_cnfs(max_vars: int = 3, max_clauses: int = 3):
     for n in range(1, max_clauses + 1):
         for combo in itertools.combinations_with_replacement(clause_pool, n):
             yield combo
+
+
+# A three-state machine on a two-cell tape, small enough for tests that
+# run every procedure on it.
+SMALL_TM = TmSpec(
+    states=("q0", "q1", "qa"),
+    final_states=frozenset(("qa",)),
+    alphabet=("0", "1"),
+    instructions={
+        ("q0", "0"): ("q1", "1", "R"),
+        ("q0", "1"): ("qa", "1", "N"),
+        ("q1", "0"): ("q0", "0", "L"),
+        ("q1", "1"): ("q1", "0", "R"),
+    },
+    space=2,
+    input_word=("0", "1"),
+)
 
 
 def machine_runs_forever(spec) -> bool:

@@ -431,6 +431,41 @@ class TestGenAndReplay:
         assert "input error" in capsys.readouterr().err
 
 
+class TestReportFields:
+    """A report's mode and outcome are checked: the free two-drone
+    realizability report, which replays, with one field forged."""
+
+    @pytest.fixture(scope="class")
+    def realizability_report(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("free")
+        spec = tmp / "free.spec"
+        main(["gen", "drone", "--drones", "2", "--recency", "8", "--strategy", "free",
+              "--out", str(spec)])
+        rep = tmp / "real.json"
+        assert main(["verify", str(spec), "--mode", "realizability", "--out", str(rep)]) == 0
+        assert main(["replay", str(spec), str(rep)]) == 0
+        return spec, json.loads(rep.read_text())
+
+    @pytest.mark.parametrize(
+        "field, value, code, says",
+        [
+            ("mode", "bogus", 3, "input error: unknown mode 'bogus'"),
+            ("outcome", "bogus", 3, "input error: unknown outcome 'bogus'"),
+            ("outcome", "unknown", 2, "report is undecided: nothing to certify"),
+        ],
+        ids=["mode-bogus", "outcome-bogus", "outcome-unknown"],
+    )
+    def test_forged_field(self, realizability_report, tmp_path, capsys, field, value, code, says):
+        spec, doc = realizability_report
+        rep = tmp_path / "forged.json"
+        rep.write_text(json.dumps({**doc, field: value}))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == code
+        out, err = capsys.readouterr()
+        assert says in out + err
+        assert "trace validates" not in out
+
+
 class TestMalformedInvocations:
     MACHINES = {"array.json": "[1, 2]", "no-alphabet.json": '{"states": ["q0"], "space": 2}'}
 

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,16 +23,17 @@ from support import (
     rename_fact,
     renaming_preserves,
     rule_line_numbers,
+    SMALL_TM,
     swaps_preserving,
     symmetry_off,
 )
 
-from tmsr import make_system
+from tmsr import Configuration, TimestampedFact, TmsrError, make_system
 from tmsr.delta import symmetric_classes
 from tmsr.reports import ReportError, VerdictReport, emit_report, parse_report
 from tmsr.search import bounded_survivability, realizability, survivability
-from tmsr.scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_tm
-from tmsr.specfile import HEADER, SpecParseError, parse_spec, print_spec
+from tmsr.scenarios import Cnf3, DroneParams, gen_3sat, gen_drone, gen_tm
+from tmsr.specfile import HEADER, SpecParseError, SpecParser, parse_spec, print_spec
 
 FUZZ = settings(
     derandomize=True,
@@ -152,6 +154,52 @@ def _check_mutated_line(text, rules_by_line, data, j, op, ch):
         assert whole == before + alone + after
 
 
+def _side_texts():
+    """The left and right side texts of every rule line of the generated
+    families, with a parser holding their signature."""
+    out = []
+    for family in sorted(GENERATED_FAMILIES):
+        for spec in GENERATED_FAMILIES[family]():
+            text = print_spec(spec)
+            for line in text.split("\n"):
+                if line.startswith("rule "):
+                    rest = line.split('"')[2]
+                    before, _, right = rest.partition("->")
+                    out.append((text, before.partition("|")[0], right))
+    return out
+
+
+@pytest.fixture(scope="module")
+def side_texts():
+    return _side_texts()
+
+
+def _side_outcome(text, side, right):
+    """What a fresh parser of the spec makes of a rule side: its patterns
+    and variable sorts, or its diagnostic code."""
+    parser = SpecParser()
+    parser.read(text)
+    parser.build_signature()
+    try:
+        return (parser._right_segment if right else parser._left_segment)(1, side)
+    except SpecParseError as exc:
+        return exc.code
+
+
+@FUZZ
+@given(data=st.data(), op=st.sampled_from(["delete", "replace", "insert"]), ch=SPEC_CHARS)
+def test_side_read_pattern_by_pattern_is_the_token_parse(side_texts, data, op, ch):
+    # A mutated side gives what its tokens give: read pattern by pattern
+    # where it splits so, the same patterns and variable sorts.
+    text, left, right = data.draw(st.sampled_from(side_texts))
+    is_right = data.draw(st.booleans())
+    side = right if is_right else left
+    side = _mutate_char(side, data.draw(st.integers(0, len(side) - 1)), op, ch)
+    got = _side_outcome(text, side, is_right)
+    with mock.patch.object(SpecParser, "_side_patterns", lambda *args: None):
+        assert got == _side_outcome(text, side, is_right)
+
+
 def _sat_sample():
     rng = random.Random(14)
     out = []
@@ -164,20 +212,6 @@ def _sat_sample():
         out.append(gen_3sat(Cnf3(variables, clauses)))
     return out
 
-
-SMALL_TM = TmSpec(
-    states=("q0", "q1", "qa"),
-    final_states=frozenset(("qa",)),
-    alphabet=("0", "1"),
-    instructions={
-        ("q0", "0"): ("q1", "1", "R"),
-        ("q0", "1"): ("qa", "1", "N"),
-        ("q1", "0"): ("q0", "0", "L"),
-        ("q1", "1"): ("q1", "0", "R"),
-    },
-    space=2,
-    input_word=("0", "1"),
-)
 
 GENERATED_FAMILIES = {
     **{
@@ -286,6 +320,73 @@ def test_parse_report_on_mutated_report_text(drone_reports, data):
         parse_report(text[:pos] + ch + text[pos + 1 :], spec)
     except ReportError:
         pass
+
+
+def _entry_by_entry(spec, arr):
+    """A configuration read as a reader that keeps nothing between
+    entries reads it: each entry checked and parsed, then the facts put
+    in canonical order."""
+    parser = SpecParser.for_signature(spec)
+    facts = []
+    for entry in arr:
+        if type(entry) is not dict or type(entry.get("ts")) is not int:
+            raise ReportError("malformed entry")
+        text = entry.get("fact")
+        if type(text) is not str:
+            raise ReportError("malformed entry")
+        facts.append(TimestampedFact(parser.fact_text(text), entry["ts"]))
+    return Configuration(tuple(facts))
+
+
+CONFIG_EDITS = st.sampled_from(["shuffle", "reverse", "duplicate", "drop", "move", "stamp"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_configurations_read_as_entry_by_entry(drone_reports, data):
+    # Entries are reordered, repeated, dropped, moved between
+    # configurations or restamped with any JSON value: the report reads as
+    # its configurations do entry by entry, or is a ReportError when one
+    # of them does not read.
+    spec, text = data.draw(st.sampled_from(drone_reports))
+    doc = json.loads(text)
+    steps = doc.get("trace") or doc["lasso"]["stem"] + doc["lasso"]["cycle"]
+    configs = [doc["init"]] + [step["config"] for step in steps]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        config = rng.choice(configs)
+        edit = data.draw(CONFIG_EDITS)
+        j = rng.randrange(len(config)) if config else 0
+        if edit == "shuffle":
+            rng.shuffle(config)
+        elif edit == "reverse":
+            config.reverse()
+        elif edit == "duplicate" and config:
+            config.insert(rng.randrange(len(config) + 1), dict(config[j]))
+        elif edit == "drop" and config:
+            del config[j]
+        elif edit == "move" and config:
+            rng.choice(configs).append(config.pop(j))
+        elif edit == "stamp" and config:
+            config[j] = {**config[j], "ts": data.draw(JSON_VALUES)}
+    try:
+        expected = [_entry_by_entry(spec, config) for config in configs]
+    except TmsrError:
+        expected = None
+    try:
+        parsed = parse_report(json.dumps(doc), spec)
+    except ReportError:
+        assert expected is None
+        return
+    assert expected is not None
+    trace = parsed.trace
+    if trace is None:
+        trace = parsed.lasso.stem
+        got = [trace.init] + [s.config for s in trace.steps + parsed.lasso.cycle.steps]
+    else:
+        got = [trace.init] + [s.config for s in trace.steps]
+    assert got == expected
+    assert [c.facts for c in got] == [c.facts for c in expected]
 
 
 # A two-drone free spec on a 2x2 grid: 80 rules, small enough to search

@@ -21,6 +21,7 @@ from tmsr import (
     CriticalSpec,
     Fact,
     FactSizeError,
+    Rule,
     RuleError,
     RulePattern,
     Substitution,
@@ -761,6 +762,25 @@ class TestRuleIndex:
             sysm, init, _ = random_progressive_system(rng)
             for config in _reached(sysm, init, 3, 30):
                 self.assert_covered(sysm, config)
+
+    def test_one_guard_object_over_two_clock_variables(self):
+        # The index finds pinned ages once per guard object and clock
+        # variable: T = U + 1 pins U at age 1 under the clock T, and T at
+        # age -1 under the clock U. Rule "b" matches only at the latter.
+        sig = make_signature((), {"P": (), "Q": (), "R": ()}, {}, {})
+        guard = (TimeConstraint(EQUAL, "T", "U", 1),)
+        (a,) = expand_rule("a", "T", [RulePattern(Fact("P"), "U")], [], [CreatedFact(Fact("R"), 1)])
+        (b,) = expand_rule(
+            "b", "U", [RulePattern(Fact("Q"), "T")], [RulePattern(Fact("R"), "U")],
+            [CreatedFact(Fact("R"), 1)],
+        )
+        sysm = make_system(sig, [Rule(a.name, a.sides, guard), Rule(b.name, b.sides, guard)])
+        config = Configuration(
+            (TimestampedFact(Fact("Time"), 0), TimestampedFact(Fact("R"), 0),
+             TimestampedFact(Fact("Q"), 1))
+        )
+        assert [r.name for r, _ in enabled(sysm, config)] == ["b"]
+        self.assert_covered(sysm, config)
 
     def test_exact_age_keys_leave_no_failed_attempt_on_greedy(self, monkeypatch):
         # Every greedy rule is pinned by its drone fact at age 0 and its

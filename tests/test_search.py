@@ -1,9 +1,17 @@
 import contextlib
+import dataclasses
 import random
 
 import pytest
 
-from support import oracle_verdicts, random_progressive_system, symmetry_off, turn_taking_spec
+from support import (
+    SMALL_TM,
+    all_small_cnfs,
+    oracle_verdicts,
+    random_progressive_system,
+    symmetry_off,
+    turn_taking_spec,
+)
 
 from tmsr import (
     Configuration,
@@ -38,8 +46,9 @@ from tmsr import (
     validate_lasso,
     validate_trace,
 )
-from tmsr.rules import TICK_LABEL
-from tmsr.scenarios import DroneParams, gen_drone
+from tmsr.rules import TICK_LABEL, is_critical
+from tmsr.scenarios import Cnf3, DroneParams, gen_3sat, gen_drone, gen_tm
+from tmsr.search import _compliant_run, _critical_reach, _new_search
 
 
 def ts(fact, t):
@@ -153,6 +162,103 @@ class TestBoundedSurvivability:
             ).outcome
         assert outcomes[24] == HOLDS
         assert outcomes[12] == HOLDS and outcomes[6] == HOLDS
+
+
+def compliant_run_oracle(sysm, init, cs, n, budget=None):
+    """What the depth-first search finds after the critical-state search
+    of a bounded-survivability verdict has found no critical state, run on
+    the very ``_Search`` of that verdict: (witness, statistics), or None
+    when the critical-state search does not hold."""
+    s = _new_search(sysm, init, cs, n, budget)
+    if is_critical(cs, init) is not None or _critical_reach(s)[0] != HOLDS:
+        return None
+    outcome, witness = _compliant_run(s)
+    assert outcome == HOLDS
+    return witness, s.stats
+
+
+def untimed(stats):
+    return dataclasses.replace(stats, elapsed_ms=0.0)
+
+
+def assert_witness_is_the_compliant_run(sysm, init, cs, n, budget=None) -> bool:
+    """The bounded-survivability witness and statistics are those of the
+    depth-first search it no longer runs; True if the verdict holds."""
+    v = bounded_survivability(sysm, init, cs, n, budget)
+    want = compliant_run_oracle(sysm, init, cs, n, budget)
+    assert (v.outcome == HOLDS) == (want is not None)
+    if want is None:
+        return False
+    witness, stats = want
+    assert v.witness == witness
+    assert untimed(v.stats) == untimed(stats)
+    assert validate_trace(sysm, cs, v.witness, expected_ticks=n)
+    return True
+
+
+class TestBoundedSurvivabilityWitness:
+    """The witness is read off the critical-state search's first
+    successors; ``_compliant_run`` on the same search is the oracle."""
+
+    def test_random_progressive_systems(self):
+        rng = random.Random(18018)
+        held = 0
+        for _ in range(300):
+            sysm, init, cs = random_progressive_system(rng)
+            held += assert_witness_is_the_compliant_run(sysm, init, cs, rng.randint(1, 4))
+        assert held >= 100
+
+    @pytest.mark.parametrize(
+        "params, ticks",
+        [
+            (DroneParams(recency=6), (6, 12, 24)),
+            (DroneParams(drones=2, recency=8), (8, 16, 32)),
+            (DroneParams(drones=2, recency=9), (9, 18, 36)),
+            (DroneParams(drones=2, recency=8, strategy="free"), (1, 2, 3)),
+        ],
+        ids=["greedy d1 r6", "greedy d2 r8", "greedy d2 r9", "free d2 r8"],
+    )
+    def test_drone_rungs(self, params, ticks):
+        spec = gen_drone(params)
+        for n in ticks:
+            assert assert_witness_is_the_compliant_run(spec.system, spec.init, spec.critical, n)
+
+    def test_sat_systems(self):
+        held = 0
+        for clauses in all_small_cnfs(2, 2):
+            variables = max(abs(lit) for c in clauses for lit in c)
+            spec = gen_3sat(Cnf3(variables, clauses))
+            for n in (len(clauses), len(clauses) + 1):
+                held += assert_witness_is_the_compliant_run(
+                    spec.system, spec.init, spec.critical, n
+                )
+        assert held >= 50
+
+    def test_tm_system(self):
+        spec = gen_tm(SMALL_TM)
+        for n in range(1, 12):
+            assert assert_witness_is_the_compliant_run(spec.system, spec.init, spec.critical, n)
+
+    def test_state_budgets_across_the_witness_length(self):
+        # Greedy d1 r6 at 24 ticks holds in 98 states, 48 of them on the
+        # witness: budgets from below the witness to above the whole count.
+        spec = gen_drone(DroneParams(recency=6))
+        args = (spec.system, spec.init, spec.critical, 24)
+        full = bounded_survivability(*args)
+        assert (full.outcome, full.stats.states, len(full.witness.steps)) == (HOLDS, 98, 48)
+        outcomes = set()
+        for states in range(40, 158):
+            budget = SearchBudget(max_states=states)
+            v = bounded_survivability(*args, budget)
+            outcomes.add(v.outcome)
+            want = compliant_run_oracle(*args, budget)
+            if want is None:
+                s = _new_search(*args, budget)
+                outcome, note, _ = _critical_reach(s)
+                assert (v.outcome, v.note, untimed(v.stats)) == (outcome, note, untimed(s.stats))
+            else:
+                assert (v.witness, untimed(v.stats)) == (want[0], untimed(want[1]))
+        assert outcomes == {HOLDS, UNKNOWN}
 
 
 class TestRealizability:

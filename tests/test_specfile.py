@@ -580,14 +580,28 @@ init: Time@0, F(3)@0, U(a)@0, Q@0
 class TestRuleSegmentMemo:
     """Within one parse, a rule line takes each of its segments (left side,
     guard, right side) that an earlier line which yielded rules held, and
-    parses only its other segments, each alone; a line that holds no stored
-    side, or whose segments do not fit together, is parsed from its tokens.
+    parses only its other segments, each alone; a line whose segments do
+    not parse alone or do not fit together is parsed from its tokens.
     Either way a line gives what it gives with no line like it before it:
     the same rules or the same diagnostic."""
 
-    # name -> (earlier rule lines, the line, whether the line takes stored
-    # segments, the diagnostic's code or None if the line parses)
+    # name -> (earlier rule lines, the line, whether the line is read by
+    # its segments rather than from its tokens, the diagnostic's code or
+    # None if the line parses)
     LOOKALIKES = {
+        "first-line-read-by-segments": ([], GOOD_RULE, True, None),
+        "first-line-with-a-spaced-fact": (
+            [],
+            GOOD_RULE.replace("P(p1,0,1)@T1 |", "P( p1 , 0,1 ) @ T1 |"),
+            True,
+            None,
+        ),
+        "right-side-stamp-without-a-plus": (
+            [],
+            GOOD_RULE.replace("@(T+1)", "@(T 1)"),
+            False,
+            "syntax",
+        ),
         "token-before-name": (
             [GOOD_RULE],
             GOOD_RULE.replace('rule "m"', 'rule x "m"'),
@@ -644,6 +658,19 @@ class TestRuleSegmentMemo:
             False,
             "sort",
         ),
+        # The stored guard was checked over sides with the same clock and
+        # consumed time variables, but it names a variable these leave
+        # unbound.
+        "stored-guard-over-stored-sides-leaving-its-variable-unbound": (
+            [
+                GOOD_RULE,
+                'rule "b": Time@T, P(p1,0,1)@T2 -> Time@T, P(p1,0,1)@T2, Dr(d1,0,1,1)@(T+1)',
+            ],
+            'rule "v": Time@T, P(p1,0,1)@T2 | T = T1 + 1 -> '
+            "Time@T, P(p1,0,1)@T2, Dr(d1,0,1,1)@(T+1)",
+            True,
+            "syntax",
+        ),
         "stored-pair-with-a-new-guard-naming-an-unbound-variable": (
             ['rule "g": Time@T, P(p1,0,1)@T1 -> Time@T, P(p1,0,1)@T1, Dr(d1,0,1,1)@(T+1)'],
             'rule "n": Time@T, P(p1,0,1)@T1 | T = T9 + 1 -> '
@@ -691,6 +718,9 @@ class TestRuleSegmentMemo:
         "stored-sides-use-a-variable-at-two-sorts": "variable 'X' used at sorts 'Id' and 'Nat'",
         "stored-pair-with-a-new-guard-naming-an-unbound-variable": (
             "rule 'n': guard variable 'T9' does not appear in the precondition"
+        ),
+        "stored-guard-over-stored-sides-leaving-its-variable-unbound": (
+            "rule 'v': guard variable 'T1' does not appear in the precondition"
         ),
     }
 
