@@ -238,17 +238,6 @@ class Rule:
         if guard:
             _check_guard(name, guard, sides.bound)
 
-    @classmethod
-    def checked(cls, name: str, sides: RuleSides, guard: tuple[TimeConstraint, ...]) -> Rule:
-        """The rule, for a guard already checked over these sides (as the
-        guard of another rule): no check is made."""
-        r = object.__new__(cls)
-        fields = r.__dict__
-        fields["name"] = name
-        fields["sides"] = sides
-        fields["guard"] = guard
-        return r
-
     time_var = property(attrgetter("sides.time_var"))
     preserved = property(attrgetter("sides.preserved"))
     consumed = property(attrgetter("sides.consumed"))

@@ -136,11 +136,6 @@ _BLANKS = " \t\n\r\f\v"
 # A rule, init or critical line; pass 1 keeps these as text.
 _DEFERRED_RE = re.compile(r"\s*(?:(rule|critical)(?![A-Za-z0-9_])|init\s*:)")
 
-# A stamp after '@' in a rule side: a time variable T, or (T+n).
-_STAMP_RE = re.compile(
-    r"\s*(?:([A-Z][A-Za-z0-9_]*)|\(\s*([A-Z][A-Za-z0-9_]*)\s*\+\s*(\d+)\s*\))\s*", re.ASCII
-)
-
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 # Ends every token list, so that reading one token past the last real one
@@ -239,13 +234,9 @@ class SpecParser:
         # Parsed rule segments by their texts; see _parse_rule.
         self.rule_lefts: dict[str, _Side] = {}
         self.rule_rights: dict[str, _Side] = {}
-        # The facts and stamps of rule sides by their texts (False where a
-        # text does not parse alone); see _side_patterns.
-        self.side_facts: dict[str, tuple[Fact, dict[str, str]] | bool] = {}
-        self.side_stamps: dict[str, tuple[str, int | None] | bool] = {}
         self.rule_guards: dict[str, tuple[TimeConstraint, ...]] = {}
-        self.rule_sides: dict[tuple[str, str], tuple[RuleSides, tuple]] = {}
-        self.rule_alts: dict[tuple[str, tuple], tuple[tuple[TimeConstraint, ...], ...]] = {}
+        self.rule_sides: dict[tuple[str, str], RuleSides] = {}
+        self.rule_alts: dict[tuple, tuple[tuple[TimeConstraint, ...], ...]] = {}
 
     @classmethod
     def for_signature(cls, sig_or_spec) -> "SpecParser":
@@ -293,12 +284,6 @@ class SpecParser:
                 content = content[:-1]
             if "#" in content:
                 content = self._strip_comment(content)
-            if header and content.startswith("rule "):
-                # A rule line as the printer writes it, taken at once.
-                if not clean or content.count('"') % 2:
-                    _check_chars(content, line)
-                self.rule_lines.append((line, content))
-                continue
             if not content.strip(_BLANKS):
                 continue
             if not header:
@@ -630,10 +615,11 @@ class SpecParser:
         # variable must keep one sort across the two sides. So each segment
         # is parsed alone, once: a line that yielded rules stores each of
         # its segments by its text, the sides of its (left, right) pair as
-        # one RuleSides, and its guard's alternatives, checked over those
-        # sides, by the guard's text and the shape of the sides they depend
-        # on. A later line takes what is stored. A line for which any of
-        # this fails takes the full parse, which raises its diagnostic.
+        # one RuleSides, and its guard's alternatives (``>=`` expanded) by
+        # the guard's text and the sides' clock, consumed and bound time
+        # variables, on which the expansion and the guard's check depend.
+        # A later line takes what is stored. A line for which any of this
+        # fails takes the full parse, which raises its diagnostic.
         head = text.split('"')
         if len(head) != 3 or head[0].strip(_BLANKS) != "rule":
             # Never a well-formed line: the full parse finds its fault.
@@ -644,15 +630,11 @@ class SpecParser:
         before, _, right_text = rest.partition("->")
         left_text, bar, guard_text = before.partition("|")
         guard_key, sides_key = bar + guard_text, (left_text, right_text)
-        sides = shape = None
-        stored = self.rule_sides.get(sides_key)
-        if stored is not None:
-            sides, shape = stored
-            alts = self.rule_alts.get((guard_key, shape))
+        sides = self.rule_sides.get(sides_key)
+        if sides is not None:
+            alts = self.rule_alts.get((guard_key, sides.time_var, sides.past_bounds, sides.bound))
             if alts is not None:
-                if len(alts) == 1:
-                    return (Rule.checked(name, sides, alts[0]),)
-                return tuple([Rule.checked(name, sides, alt) for alt in alts])
+                return tuple([Rule(name, sides, alt) for alt in alts])
         guard = self.rule_guards.get(guard_key)
         parts = left = right = None
         try:
@@ -669,23 +651,17 @@ class SpecParser:
             name, left, guard, right = self._parse_rule_tokens(line, text)
             parts = self._classify(line, name, left[0], right[0])
         rules = self._rules(line, name, guard, sides, parts)
+        sides = rules[0].sides
         if parts is not None:
-            sides = rules[0].sides
-            # What a guard's alternatives and their check depend on.
-            shape = (sides.time_var, sides.past_bounds, sides.bound)
-            self.rule_sides[sides_key] = sides, shape
+            self.rule_sides[sides_key] = sides
             self.rule_lefts[left_text] = left
             self.rule_rights[right_text] = right
         self.rule_guards[guard_key] = guard
-        self.rule_alts[guard_key, shape] = tuple([r.guard for r in rules])
+        alts_key = (guard_key, sides.time_var, sides.past_bounds, sides.bound)
+        self.rule_alts[alts_key] = tuple([r.guard for r in rules])
         return rules
 
     def _left_segment(self, line: int, text: str) -> _Side:
-        blank, colon, patterns = text.partition(":")
-        if colon and not blank.strip(_BLANKS):
-            side = self._side_patterns(line, patterns, False)
-            if side is not None:
-                return side
         cur = _Cursor(text, line)
         if cur.toks[0] != ":":
             raise cur.expected(0, repr(":"))
@@ -695,70 +671,11 @@ class SpecParser:
         return tuple(lhs), vars_seen
 
     def _right_segment(self, line: int, text: str) -> _Side:
-        side = self._side_patterns(line, text, True)
-        if side is not None:
-            return side
         cur = _Cursor(text, line)
         vars_seen: dict[str, str] = {}
         rhs, i = self._parse_created(cur, 0, vars_seen)
         cur.end(i)
         return rhs, vars_seen
-
-    def _side_patterns(self, line: int, text: str, right: bool) -> _Side | None:
-        """The patterns of a rule side, read pattern by pattern: the text
-        splits at each '@' and, after each '@' but the last, at the first
-        ',' into facts and stamps. Each distinct fact text and stamp text is
-        parsed alone, once per parser. None when the text does not split so
-        or a piece does not parse alone; the side then takes the token
-        parse. '@' and ',' are tokens by themselves and a stamp holds no
-        ',', so the split falls between the patterns, and where this read
-        succeeds, the token parse gives the same patterns."""
-        chunks = text.split("@")
-        last = len(chunks) - 1
-        if not last:
-            return None
-        facts, stamps = self.side_facts, self.side_stamps
-        out = []
-        sorts: dict[str, str] = {}
-        piece = chunks[0]
-        for k in range(1, last + 1):
-            stamp_text, comma, next_piece = chunks[k].partition(",")
-            if (k < last) != bool(comma):
-                return None
-            fact = facts.get(piece)
-            if fact is None:
-                fact = facts[piece] = self._fact_alone(line, piece)
-            stamp = stamps.get(stamp_text)
-            if stamp is None:
-                m = _STAMP_RE.fullmatch(stamp_text)
-                stamp = False if m is None else (m[1], None) if m[1] else (m[2], int(m[3]))
-                stamps[stamp_text] = stamp
-            if not (fact and stamp):
-                return None
-            fact, fact_sorts = fact
-            tvar, offset = stamp
-            if right:
-                out.append((fact, tvar, offset or 0))
-            elif offset is None:
-                out.append((fact, tvar))
-            else:
-                return None
-            for v, sort in fact_sorts.items():
-                if sorts.setdefault(v, sort) != sort:
-                    return None
-            piece = next_piece
-        return tuple(out), sorts
-
-    def _fact_alone(self, line: int, text: str) -> tuple[Fact, dict[str, str]] | bool:
-        """The fact the text holds and its variables' sorts, or False."""
-        cur = _Cursor(text, line)
-        vars_seen: dict[str, str] = {}
-        try:
-            fact, i = self._parse_fact(cur, 0, vars_seen)
-            cur.end(i)
-        except SpecParseError:
-            return False
-        return fact, vars_seen
 
     def _guard_segment(self, line: int, bar: str, text: str) -> tuple[TimeConstraint, ...]:
         if not bar:

@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import json
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -152,52 +151,6 @@ def _check_mutated_line(text, rules_by_line, data, j, op, ch):
         before = [r for i in sorted(rules_by_line) if i < j for r in rules_by_line[i]]
         after = [r for i in sorted(rules_by_line) if i > j for r in rules_by_line[i]]
         assert whole == before + alone + after
-
-
-def _side_texts():
-    """The left and right side texts of every rule line of the generated
-    families, with a parser holding their signature."""
-    out = []
-    for family in sorted(GENERATED_FAMILIES):
-        for spec in GENERATED_FAMILIES[family]():
-            text = print_spec(spec)
-            for line in text.split("\n"):
-                if line.startswith("rule "):
-                    rest = line.split('"')[2]
-                    before, _, right = rest.partition("->")
-                    out.append((text, before.partition("|")[0], right))
-    return out
-
-
-@pytest.fixture(scope="module")
-def side_texts():
-    return _side_texts()
-
-
-def _side_outcome(text, side, right):
-    """What a fresh parser of the spec makes of a rule side: its patterns
-    and variable sorts, or its diagnostic code."""
-    parser = SpecParser()
-    parser.read(text)
-    parser.build_signature()
-    try:
-        return (parser._right_segment if right else parser._left_segment)(1, side)
-    except SpecParseError as exc:
-        return exc.code
-
-
-@FUZZ
-@given(data=st.data(), op=st.sampled_from(["delete", "replace", "insert"]), ch=SPEC_CHARS)
-def test_side_read_pattern_by_pattern_is_the_token_parse(side_texts, data, op, ch):
-    # A mutated side gives what its tokens give: read pattern by pattern
-    # where it splits so, the same patterns and variable sorts.
-    text, left, right = data.draw(st.sampled_from(side_texts))
-    is_right = data.draw(st.booleans())
-    side = right if is_right else left
-    side = _mutate_char(side, data.draw(st.integers(0, len(side) - 1)), op, ch)
-    got = _side_outcome(text, side, is_right)
-    with mock.patch.object(SpecParser, "_side_patterns", lambda *args: None):
-        assert got == _side_outcome(text, side, is_right)
 
 
 def _sat_sample():
