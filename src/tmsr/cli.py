@@ -288,8 +288,8 @@ def _artifact_mismatch(parsed) -> str | None:
     if parsed.outcome == HOLDS:
         if not bounded and parsed.lasso is None:
             return f"{parsed.mode} holds needs a lasso"
-        if bounded and (parsed.ticks is None or parsed.trace is None):
-            return f"{parsed.mode} holds needs a ticks field and a trace"
+        if bounded and parsed.trace is None:
+            return f"{parsed.mode} holds needs a trace"
     if parsed.outcome == FAILS and parsed.lasso is not None:
         return f"{parsed.mode} fails cannot carry a lasso"
     return None
@@ -327,16 +327,12 @@ def _cmd_replay(args) -> int:
         dmax = compute_dmax(spec.system, spec.init, spec.critical)
         result = validate_lasso(spec.system, spec.critical, parsed.lasso, dmax)
     else:
-        expect_critical = parsed.outcome == FAILS
-        expected_ticks = None
-        if parsed.ticks is not None and parsed.outcome == HOLDS:
-            expected_ticks = parsed.ticks
         result = validate_trace(
             spec.system,
             spec.critical,
             parsed.trace,
-            expected_ticks=expected_ticks,
-            expect_critical_end=expect_critical,
+            expected_ticks=parsed.ticks,
+            expect_critical_end=parsed.outcome == FAILS,
         )
     if result.ok:
         print("trace validates")

@@ -1,6 +1,7 @@
 """JSON verdict reports: emission and re-ingestion for replay.
 
-Schema (stable): mode, outcome, optional ticks, statistics (states,
+Schema (stable): mode, outcome, ticks (the tick budget, at least 1, in
+bounded modes only), statistics (states,
 peak_frontier, max_depth, optional depth_cap, elapsed_ms,
 l_sigma_decimal, and in unbounded modes symmetry: the classes of
 interchangeable constants the states were counted up to, as lists of
@@ -41,7 +42,6 @@ from .terms import (
     TmsrError,
     Var,
     fact_text,
-    term_sort,
     term_text,
 )
 
@@ -191,7 +191,7 @@ def _write(value, newline: str, out: list[str]) -> None:
 class ParsedReport:
     mode: str
     outcome: str
-    ticks: int | None
+    ticks: int | None  # the tick budget of a bounded mode, None when unbounded
     trace: Trace | None
     lasso: Lasso | None
     digest: str  # the input digest; empty when the report has none
@@ -293,12 +293,12 @@ class _ReportReader:
         for entry in _require(obj.get("terms", []), list, "substitution terms"):
             _require(entry, dict, "a substitution term")
             sort = _field(entry, "sort", str, "a substitution term")
+            if sort not in self.sig.sorts:
+                raise ReportError(f"undeclared sort {sort!r}")
             var = Var(_field(entry, "var", str, "a substitution term"), sort)
             text = _field(entry, "term", str, "a substitution term")
-            term = self.parser.term_text(text, sort)
-            if term_sort(self.sig, term) != var.sort:
-                raise ReportError(f"term {text!r} is not of sort {var.sort!r}")
-            terms[var] = term
+            # The parser takes only a ground term of the variable's sort.
+            terms[var] = self.parser.term_text(text, sort)
         return Substitution.of(times, terms)
 
     def steps(self, arr: list) -> tuple[TraceStep, ...]:
@@ -331,9 +331,13 @@ def parse_report(text: str, spec: SpecFile) -> ParsedReport:
     outcome = _field(obj, "outcome", str, "the report")
     if outcome not in _OUTCOMES:
         raise ReportError(f"unknown outcome {outcome!r}")
-    ticks = obj.get("ticks")
-    if ticks is not None:
-        _require(ticks, int, "field 'ticks' of the report")
+    ticks = None
+    if mode in (BOUNDED_REALIZABILITY, BOUNDED_SURVIVABILITY):
+        ticks = _field(obj, "ticks", int, f"the {mode} report")
+        if ticks < 1:
+            raise ReportError(f"tick budget {ticks} is below 1")
+    elif "ticks" in obj:
+        raise ReportError(f"the {mode} report has a tick budget")
     digest = _require(obj.get("input_digest", ""), str, "field 'input_digest' of the report")
     version = obj.get("version")
     if version is not None:

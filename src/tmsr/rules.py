@@ -127,12 +127,17 @@ def _check_guard(name: str, guard: Sequence[TimeConstraint], bound: Container[st
                 )
 
 
+_CLOCK_FACT = f"a {TIME} fact is the clock, read through the time variable"
+
+
 @dataclass(frozen=True, init=False)
 class RuleSides:
     """A rule without its name and guard: the clock variable and the
     preserved, consumed and created facts. It checks itself once, when
-    built, so rules that differ only in name or guard can share one. Its
-    errors do not name a rule; ``rule_sides`` adds the name."""
+    built, so rules that differ only in name or guard can share one. The
+    clock is no pattern and no created fact: the sides read it through
+    their time variable and leave it as it is. Their errors do not name a
+    rule; ``rule_sides`` adds the name."""
 
     time_var: str
     preserved: tuple[RulePattern, ...]
@@ -170,8 +175,13 @@ class RuleSides:
         fields["past_bounds"] = tuple([p.tvar for p in consumed])
         fields["bound"] = frozenset([time_var, *[p.tvar for p in patterns]])
         fields["balanced"] = len(consumed) == len(created)
+        for p in patterns:
+            if p.fact.pred == TIME:
+                raise RuleError(_CLOCK_FACT)
         max_offset = 0
         for cf in created:
+            if cf.fact.pred == TIME:
+                raise RuleError(_CLOCK_FACT)
             if cf.offset < 0:
                 raise RuleError("negative creation offset")
             if cf.offset > max_offset:
@@ -189,7 +199,7 @@ class RuleSides:
         """What ``rewrite`` needs of a rule, compiled on first use: the
         consumed patterns as (fact, ground, tvar), the created facts as
         (fact, size, offset) with size None unless the fact is ground (and
-        then used as it is), and whether a created fact is a clock."""
+        then used as it is)."""
         consumed = tuple(
             (p.fact, _normal_ground_args(p.fact.args), p.tvar) for p in self.consumed
         )
@@ -197,7 +207,7 @@ class RuleSides:
             (cf.fact, fact_size(cf.fact) if _normal_ground_args(cf.fact.args) else None, cf.offset)
             for cf in self.created
         )
-        return consumed, created, any(cf.fact.pred == TIME for cf in self.created)
+        return consumed, created
 
 
 def rule_sides(
@@ -480,9 +490,7 @@ _Step = tuple[str, Fact, bool, str, bool, bool, tuple[_Check, ...], tuple[tuple[
 # A match plan: (guard atoms decided before the first step, steps).
 _MatchPlan = tuple[tuple[_Check, ...], tuple[_Step, ...]]
 # A rewrite plan (see Rule.rewrite_plan).
-_RewritePlan = tuple[
-    tuple[tuple[Fact, bool, str], ...], tuple[tuple[Fact, int | None, int], ...], bool
-]
+_RewritePlan = tuple[tuple[tuple[Fact, bool, str], ...], tuple[tuple[Fact, int | None, int], ...]]
 
 
 def _normal_ground(t: Term) -> bool:
@@ -894,7 +902,7 @@ def rewrite(
     created fact exceeds the bound."""
     times = dict(s.times)
     clock = times[r.time_var]
-    consumed, created, creates_time = r.rewrite_plan
+    consumed, created = r.rewrite_plan
     terms = dict(s.terms)
     remaining = list(c.facts)
     for fact, ground, tvar in consumed:
@@ -915,8 +923,6 @@ def rewrite(
                 f"{size}, exceeding the bound {max_fact_size}"
             )
         new.append(TimestampedFact(fact, clock + offset))
-    if creates_time:
-        return Configuration(tuple(remaining + new))  # rejects a second clock
     # remaining keeps the canonical order of c, and every created fact is
     # ground: each of its variables is bound to a term of c.
     for tf in new:

@@ -27,6 +27,7 @@ cost.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..rules import (
@@ -64,6 +65,10 @@ DIRECTIONS = {
     "west": (-1, 0),
 }
 
+# Rules a generated system may have; the greedy strategy's state count is
+# checked against it before any rule is built.
+MAX_RULES = 200_000
+
 
 class GeneratorError(TmsrError):
     pass
@@ -82,7 +87,6 @@ class DroneParams:
     strategy: str = "greedy"
     single_slot_station: bool = False
     station_bound: int | None = None
-    max_rules: int = 200_000
 
     def __post_init__(self) -> None:
         if self.drones < 1 or self.recency < 1 or self.energy_cap < 1:
@@ -164,176 +168,121 @@ def _pt(i: int, cell: tuple[int, int]) -> Fact:
     return Fact("P", (Const(f"p{i+1}"), cell[0], cell[1]))
 
 
-def _point_patterns(p: DroneParams, skip: int | None = None) -> list[RulePattern]:
-    out = []
-    for i, cell in enumerate(p.points):
-        if i != skip:
-            out.append(RulePattern(_pt(i, cell), f"T{i+1}"))
-    return out
+def _slot(did: str) -> Fact:
+    """The single-slot station's fact: the docked drone, or ``empty``."""
+    return Fact("St", (Const(did),))
 
 
-def _age_guard(ages: tuple[int, ...]) -> list[TimeConstraint]:
-    return [
-        TimeConstraint(EQUAL, "T", f"T{i+1}", age) for i, age in enumerate(ages)
-    ]
+# A docked drone's coordinates.
+_DOCK = Const("st")
 
 
-def _emit_action(
+def _neighbour(
+    p: DroneParams, pos: tuple[int, int], direction: str
+) -> tuple[int, int] | None:
+    """The cell one step from ``pos`` toward ``direction``, or None off the grid."""
+    dx, dy = DIRECTIONS[direction]
+    x, y = pos[0] + dx, pos[1] + dy
+    return (x, y) if 0 <= x <= p.x_max and 0 <= y <= p.y_max else None
+
+
+def _action_rules(
     p: DroneParams,
-    rules: list[Rule],
     name: str,
     did: str,
     pos: tuple[int, int],
     energy: int,
     action,
-    guard,
-) -> None:
+    guard: Sequence[TimeConstraint] = (),
+) -> tuple[Rule, ...]:
+    """The rules named ``name`` in which drone ``did`` on ``pos`` with
+    ``energy`` takes ``action`` (as ``greedy_action`` gives it) under
+    ``guard``: every point's picture is read, each stamped at its own
+    variable, and the drone's fact is consumed. A move off the grid has
+    no rules."""
     x, y = pos
+    here = RulePattern(_dr(did, x, y, energy), "T")
+    points = [RulePattern(_pt(i, cell), f"T{i+1}") for i, cell in enumerate(p.points)]
     kind = action[0]
     if kind == "move":
-        dx, dy = DIRECTIONS[action[1]]
-        tx, ty = x + dx, y + dy
-        if not (0 <= tx <= p.x_max and 0 <= ty <= p.y_max):
-            return
-        rules.extend(
-            expand_rule(
-                name,
-                "T",
-                _point_patterns(p),
-                [RulePattern(_dr(did, x, y, energy), "T")],
-                [CreatedFact(_dr(did, tx, ty, energy - 1), 1)],
-                guard,
-            )
-        )
-    elif kind == "charge":
-        if p.single_slot_station:
-            rules.extend(
-                expand_rule(
-                    name,
-                    "T",
-                    _point_patterns(p),
-                    [
-                        RulePattern(_dr(did, x, y, energy), "T"),
-                        RulePattern(Fact("St", (Const("empty"),)), "Ts"),
-                    ],
-                    [
-                        CreatedFact(_dr(did, Const("st"), Const("st"), energy), 1),
-                        CreatedFact(Fact("St", (Const(did),)), 0),
-                    ],
-                    guard,
-                )
-            )
-        else:
-            rules.extend(
-                expand_rule(
-                    name,
-                    "T",
-                    _point_patterns(p),
-                    [RulePattern(_dr(did, x, y, energy), "T")],
-                    [CreatedFact(_dr(did, x, y, energy + 1), 1)],
-                    guard,
-                )
-            )
+        target = _neighbour(p, pos, action[1])
+        if target is None:
+            return ()
+        consumed = [here]
+        created = [CreatedFact(_dr(did, *target, energy - 1), 1)]
     elif kind == "click":
-        i = action[1]
-        rules.extend(
-            expand_rule(
-                name,
-                "T",
-                _point_patterns(p, skip=i),
-                [
-                    RulePattern(_pt(i, p.points[i]), f"T{i+1}"),
-                    RulePattern(_dr(did, x, y, energy), "T"),
-                ],
-                [
-                    CreatedFact(_pt(i, p.points[i]), 0),
-                    CreatedFact(_dr(did, x, y, energy - 1), 1),
-                ],
-                guard,
-            )
-        )
+        # The photographed point is consumed and renewed at the clock.
+        picture = points.pop(action[1])
+        consumed = [picture, here]
+        created = [CreatedFact(picture.fact, 0), CreatedFact(_dr(did, x, y, energy - 1), 1)]
+    elif p.single_slot_station:
+        # Charging docks the drone in the empty slot.
+        consumed = [here, RulePattern(_slot("empty"), "Ts")]
+        created = [CreatedFact(_dr(did, _DOCK, _DOCK, energy), 1), CreatedFact(_slot(did), 0)]
+    else:
+        consumed = [here]
+        created = [CreatedFact(_dr(did, x, y, energy + 1), 1)]
+    return expand_rule(name, "T", points, consumed, created, guard)
 
 
 def _station_rules(p: DroneParams, rules: list[Rule]) -> None:
     """Docked charging and takeoff; docking happens via the charge action."""
-    bx, by = p.base
-    st = Const("st")
     for d in range(p.drones):
         did = f"d{d+1}"
         for e in range(p.energy_cap):
-            rules.extend(
-                expand_rule(
-                    f"dock-charge-{did}-e{e}",
-                    "T",
-                    [],
-                    [RulePattern(_dr(did, st, st, e), "T")],
-                    [CreatedFact(_dr(did, st, st, e + 1), 1)],
-                    [],
-                )
-            )
-        rules.extend(
-            expand_rule(
-                f"takeoff-{did}",
+            rules += expand_rule(
+                f"dock-charge-{did}-e{e}",
                 "T",
                 [],
-                [
-                    RulePattern(_dr(did, st, st, p.energy_cap), "T"),
-                    RulePattern(Fact("St", (Const(did),)), "Ts"),
-                ],
-                [
-                    CreatedFact(_dr(did, bx, by, p.energy_cap), 1),
-                    CreatedFact(Fact("St", (Const("empty"),)), 0),
-                ],
-                [],
+                [RulePattern(_dr(did, _DOCK, _DOCK, e), "T")],
+                [CreatedFact(_dr(did, _DOCK, _DOCK, e + 1), 1)],
             )
+        rules += expand_rule(
+            f"takeoff-{did}",
+            "T",
+            [],
+            [
+                RulePattern(_dr(did, _DOCK, _DOCK, p.energy_cap), "T"),
+                RulePattern(_slot(did), "Ts"),
+            ],
+            [
+                CreatedFact(_dr(did, *p.base, p.energy_cap), 1),
+                CreatedFact(_slot("empty"), 0),
+            ],
         )
 
 
 def _wind_rules(p: DroneParams, rules: list[Rule]) -> None:
     for wx, wy, direction in p.wind:
-        dx, dy = DIRECTIONS[direction]
-        tx, ty = wx + dx, wy + dy
-        if not (0 <= tx <= p.x_max and 0 <= ty <= p.y_max):
+        target = _neighbour(p, (wx, wy), direction)
+        if target is None:
             continue
-        for d in range(p.drones):
+        for d, e in itertools.product(range(p.drones), range(p.energy_cap + 1)):
             did = f"d{d+1}"
-            for e in range(p.energy_cap + 1):
-                rules.extend(
-                    expand_rule(
-                        f"wind-{wx}-{wy}-{direction}-{did}-e{e}",
-                        "T",
-                        [],
-                        [RulePattern(_dr(did, wx, wy, e), "T")],
-                        [CreatedFact(_dr(did, tx, ty, e), 1)],
-                        [],
-                    )
-                )
+            rules += expand_rule(
+                f"wind-{wx}-{wy}-{direction}-{did}-e{e}",
+                "T",
+                [],
+                [RulePattern(_dr(did, wx, wy, e), "T")],
+                [CreatedFact(_dr(did, *target, e), 1)],
+            )
 
 
 def _free_rules(p: DroneParams) -> list[Rule]:
     rules: list[Rule] = []
-    cells = [
-        (x, y) for x in range(p.x_max + 1) for y in range(p.y_max + 1)
-    ]
+    cells = list(itertools.product(range(p.x_max + 1), range(p.y_max + 1)))
     for d in range(p.drones):
         did = f"d{d+1}"
-        for x, y in cells:
-            for direction in DIRECTIONS:
-                for e in range(1, p.energy_cap + 1):
-                    _emit_action(
-                        p, rules, f"move-{direction}-{did}-{x}-{y}-e{e}",
-                        did, (x, y), e, ("move", direction), [],
-                    )
+        moves = itertools.product(cells, DIRECTIONS, range(1, p.energy_cap + 1))
+        for (x, y), direction, e in moves:
+            name = f"move-{direction}-{did}-{x}-{y}-e{e}"
+            rules += _action_rules(p, name, did, (x, y), e, ("move", direction))
         for e in range(p.energy_cap):
-            _emit_action(
-                p, rules, f"charge-{did}-e{e}", did, p.base, e, ("charge",), [],
-            )
+            rules += _action_rules(p, f"charge-{did}-e{e}", did, p.base, e, ("charge",))
         for i, cell in enumerate(p.points):
             for e in range(1, p.energy_cap + 1):
-                _emit_action(
-                    p, rules, f"click-p{i+1}-{did}-e{e}", did, cell, e,
-                    ("click", i), [],
-                )
+                name = f"click-p{i+1}-{did}-e{e}"
+                rules += _action_rules(p, name, did, cell, e, ("click", i))
     return rules
 
 
@@ -345,29 +294,29 @@ def _greedy_rules(p: DroneParams) -> list[Rule]:
         * (p.energy_cap + 1)
         * (p.recency + 1) ** len(p.points)
     )
-    if combos > p.max_rules:
+    if combos > MAX_RULES:
         raise GeneratorError(
             f"strategy expansion needs {combos} rule slots, over the ceiling "
-            f"{p.max_rules}; use a smaller grid or recency bound"
+            f"{MAX_RULES}; use a smaller grid or recency bound"
         )
     rules: list[Rule] = []
-    for d in range(p.drones):
+    states = itertools.product(
+        range(p.drones),
+        range(p.x_max + 1),
+        range(p.y_max + 1),
+        range(p.energy_cap + 1),
+        itertools.product(range(p.recency + 1), repeat=len(p.points)),
+    )
+    for d, x, y, e, ages in states:
+        action = greedy_action(p, (x, y), e, ages)
+        if action is None:
+            continue
         did = f"d{d+1}"
-        for x in range(p.x_max + 1):
-            for y in range(p.y_max + 1):
-                for e in range(p.energy_cap + 1):
-                    for ages in itertools.product(
-                        range(p.recency + 1), repeat=len(p.points)
-                    ):
-                        action = greedy_action(p, (x, y), e, ages)
-                        if action is None:
-                            continue
-                        tag = "-".join(str(a) for a in ages)
-                        name = f"{action[0]}-{did}-{x}-{y}-e{e}-a{tag}"
-                        _emit_action(
-                            p, rules, name, did, (x, y), e, action,
-                            _age_guard(ages),
-                        )
+        tag = "-".join(str(a) for a in ages)
+        name = f"{action[0]}-{did}-{x}-{y}-e{e}-a{tag}"
+        # Each picture's exact age: the rule fires only in this state.
+        guard = [TimeConstraint(EQUAL, "T", f"T{i+1}", a) for i, a in enumerate(ages)]
+        rules += _action_rules(p, name, did, (x, y), e, action, guard)
     return rules
 
 
@@ -378,9 +327,9 @@ def gen_drone(p: DroneParams) -> SpecFile:
     if p.single_slot_station:
         _station_rules(p, rules)
     _wind_rules(p, rules)
-    if len(rules) > p.max_rules:
+    if len(rules) > MAX_RULES:
         raise GeneratorError(
-            f"{len(rules)} rules exceed the ceiling {p.max_rules}; "
+            f"{len(rules)} rules exceed the ceiling {MAX_RULES}; "
             "use a smaller grid or recency bound"
         )
 
@@ -393,7 +342,7 @@ def gen_drone(p: DroneParams) -> SpecFile:
     for i, cell in enumerate(p.points):
         init_facts.append(TimestampedFact(_pt(i, cell), 0))
     if p.single_slot_station:
-        init_facts.append(TimestampedFact(Fact("St", (Const("empty"),)), 0))
+        init_facts.append(TimestampedFact(_slot("empty"), 0))
     init = Configuration(tuple(init_facts))
 
     pairs = [
@@ -429,7 +378,7 @@ def gen_drone(p: DroneParams) -> SpecFile:
                 CriticalPair(
                     f"slot-hog-d{d+1}",
                     (
-                        RulePattern(Fact("St", (Const(f"d{d+1}"),)), "Ts"),
+                        RulePattern(_slot(f"d{d+1}"), "Ts"),
                         RulePattern(Fact(TIME), "T"),
                     ),
                     (TimeConstraint(GREATER, "T", "Ts", bound),),

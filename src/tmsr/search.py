@@ -99,9 +99,6 @@ class Trace:
     def final(self) -> Configuration:
         return self.steps[-1].config if self.steps else self.init
 
-    def tick_count(self) -> int:
-        return sum(1 for s in self.steps if s.label == TICK_LABEL)
-
 
 @dataclass(frozen=True)
 class Lasso:
@@ -529,8 +526,10 @@ def validate_trace(
     """Replay every step, enforce lazy sampling at every clock advance and
     compliance of every configuration (with ``expect_critical_end`` the
     final configuration must instead be critical, as in a counterexample).
-    The failing step index counts from 0; -1 denotes the initial
-    configuration."""
+    With a tick budget ``expected_ticks`` of n, a witness has exactly n
+    clock advances, and a counterexample takes no step after the n-th,
+    where the bounded search expands nothing. The failing step index
+    counts from 0; -1 denotes the initial configuration."""
     by_name: dict[str, list[Rule]] = {}
     for r in sys.rules:
         by_name.setdefault(r.name, []).append(r)
@@ -552,6 +551,10 @@ def validate_trace(
     current = t.init
     ticks = 0
     for i, step in enumerate(t.steps):
+        if expect_critical_end and ticks == expected_ticks:
+            return ValidationResult(
+                False, i, f"step after the last of {ticks} clock advances"
+            )
         if step.label == TICK_LABEL:
             if not must_tick(sys, current):
                 return ValidationResult(
@@ -583,7 +586,7 @@ def validate_trace(
         if bad is not None:
             return bad
 
-    if expected_ticks is not None and ticks != expected_ticks:
+    if expected_ticks is not None and not expect_critical_end and ticks != expected_ticks:
         return ValidationResult(
             False,
             len(t.steps) - 1 if t.steps else -1,

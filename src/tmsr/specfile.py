@@ -261,10 +261,13 @@ class SpecParser:
         return f
 
     def term_text(self, text: str, expected: str, line: int = 1) -> Term:
-        """One term of sort ``expected`` in the spec-file syntax."""
+        """One ground term of sort ``expected`` in the spec-file syntax."""
         _check_chars(text, line)
         cur = _Cursor(text, line)
-        t, i = self._parse_term(cur, 0, expected, {})
+        vars_seen: dict[str, str] = {}
+        t, i = self._parse_term(cur, 0, expected, vars_seen)
+        if vars_seen:
+            raise SpecParseError("syntax", "term is not ground", line)
         cur.end(i)
         return t
 
@@ -899,15 +902,6 @@ def parse_spec(text: str) -> SpecFile:
     p = SpecParser()
     p.read(text)
     return p.assemble()
-
-
-def parse_fact_text(sig_or_spec, text: str, line: int = 1) -> Fact:
-    """Parse one ground fact in the spec-file syntax."""
-    return SpecParser.for_signature(sig_or_spec).fact_text(text, line)
-
-
-def parse_term_text(sig_or_spec, text: str, expected: str, line: int = 1) -> Term:
-    return SpecParser.for_signature(sig_or_spec).term_text(text, expected, line)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps tmsr functions by name, where the program
-looks them up (``bench/tracing.py``). The benchmark is not part of this
-suite, so this test pins every name it wraps: renaming or deleting one
-would otherwise break only ``bench/run.py --trace 1``."""
+looks them up (``bench/tracing.py``), and its workloads call the scenario
+generators with keywords (``bench/workloads.py``). The benchmark is not
+part of this suite, so these tests pin every name it wraps and every
+keyword it passes: renaming or deleting one would otherwise break only
+``bench/run.py``."""
 
 from __future__ import annotations
 
@@ -13,14 +15,19 @@ from types import SimpleNamespace
 import tmsr.cli  # noqa: F401  (imports every module the namespace holds)
 from tmsr import parse_spec
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracing")
 
 
 def tmsr_namespace() -> SimpleNamespace:
@@ -67,3 +74,15 @@ def test_unbounded_search_records_the_key_layer():
     finally:
         tracer.uninstall()
     assert any(span[0] == "delta.abstract" for span in tracer.spans)
+
+
+def test_drone_workloads_generate_their_specs():
+    """Every drone item of the benchmark's draws goes through its own
+    ``generate``, with the ``DroneParams`` keywords the item holds."""
+    workloads = load_bench("workloads")
+    m = tmsr_namespace()
+    items = workloads.draw_drone_free(0) + workloads.draw_drone_greedy(0)
+    assert len(items) == 6
+    for item in items:
+        spec = parse_spec(workloads.generate(m, item))
+        assert spec.system.rules, item.label

@@ -12,6 +12,7 @@ from support import turn_taking_spec
 import tmsr.cli
 from tmsr.cli import main
 from tmsr.reports import input_digest, parse_report
+from tmsr.rules import TICK_LABEL
 from tmsr.specfile import SpecParseError, parse_spec
 
 TICK_ONLY = "tmsr-spec 1\ninit: Time@0\nparams: k=1\n"
@@ -330,7 +331,8 @@ class TestGenAndReplay:
         ) == 0
         assert main(["replay", str(spec), str(rep)]) == 0
         parsed = parse_report(rep.read_text(), parse_spec(spec.read_text()))
-        assert parsed.trace is not None and parsed.trace.tick_count() == 2
+        assert parsed.trace is not None
+        assert [s.label for s in parsed.trace.steps].count(TICK_LABEL) == 2
 
     def test_report_for_an_edited_spec_rejected(self, tmp_path, capsys):
         spec, rep, _ = self._counterexample(tmp_path)
@@ -397,11 +399,8 @@ class TestGenAndReplay:
 
     @pytest.mark.parametrize(
         "ticks, forge",
-        [
-            (None, lambda doc: {**doc, "outcome": "fails"}),
-            ("2", lambda doc: {k: v for k, v in doc.items() if k != "ticks"}),
-        ],
-        ids=["fails-with-lasso", "bounded-holds-without-ticks"],
+        [(None, lambda doc: {**doc, "outcome": "fails"})],
+        ids=["fails-with-lasso"],
     )
     def test_artifact_must_match_mode_and_outcome(self, tick_spec, tmp_path, capsys, ticks, forge):
         rep = tmp_path / "rep.json"
@@ -431,9 +430,25 @@ class TestGenAndReplay:
         assert "input error" in capsys.readouterr().err
 
 
+COUNTER = (
+    "tmsr-spec 1\npred N : Nat\n"
+    'rule "inc": Time@T, N(X)@T1 -> Time@T, N(s(X))@(T+1)\n'
+    "init: Time@0, N(0)@0\n"
+    'critical "three": { N(3)@T }\n'
+    "params: k=8\n"
+)
+
+
+def forge_term(doc, **fields):
+    """``doc`` with the first substitution term's fields replaced."""
+    doc = json.loads(json.dumps(doc))
+    doc["trace"][0]["subst"]["terms"][0].update(fields)
+    return doc
+
+
 class TestReportFields:
-    """A report's mode and outcome are checked: the free two-drone
-    realizability report, which replays, with one field forged."""
+    """A report's mode, outcome, tick budget and substitution terms are
+    checked: real reports, which replay, with one field forged."""
 
     @pytest.fixture(scope="class")
     def realizability_report(self, tmp_path_factory):
@@ -463,6 +478,79 @@ class TestReportFields:
         assert main(["replay", str(spec), str(rep)]) == code
         out, err = capsys.readouterr()
         assert says in out + err
+        assert "trace validates" not in out
+
+    @pytest.fixture(scope="class")
+    def counter_reports(self, tmp_path_factory):
+        """A counter that reaches 3 after its second clock advance:
+        survivability holds within 2 ticks and fails unbounded."""
+        tmp = tmp_path_factory.mktemp("counter")
+        spec = tmp / "counter.spec"
+        spec.write_text(COUNTER)
+        docs = {}
+        for name, budget, code in [("bounded", ["--ticks", "2"], 0), ("unbounded", [], 1)]:
+            rep = tmp / f"{name}.json"
+            argv = ["verify", str(spec), "--mode", "survivability", *budget, "--out", str(rep)]
+            assert main(argv) == code
+            assert main(["replay", str(spec), str(rep)]) == 0
+            docs[name] = json.loads(rep.read_text())
+        return spec, docs
+
+    def test_counterexample_past_the_tick_budget_is_invalid(
+        self, counter_reports, tmp_path, capsys
+    ):
+        # The bounded search expands no node after the n-th clock advance,
+        # so the unbounded counterexample, whose last step follows its
+        # second, is no counterexample within 2 ticks; within 3 it is.
+        spec, docs = counter_reports
+        doc = docs["unbounded"]
+        assert [s["label"] for s in doc["trace"]] == ["inc", "tick", "inc", "tick", "inc"]
+        rep = tmp_path / "forged.json"
+        rep.write_text(json.dumps({**doc, "mode": "bounded-survivability", "ticks": 2}))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 1
+        assert capsys.readouterr().out == (
+            "trace INVALID at step 4: step after the last of 2 clock advances\n"
+        )
+        rep.write_text(json.dumps({**doc, "mode": "bounded-survivability", "ticks": 3}))
+        assert main(["replay", str(spec), str(rep)]) == 0
+
+    @pytest.mark.parametrize(
+        "forge, says",
+        [
+            (
+                lambda docs: {k: v for k, v in docs["bounded"].items() if k != "ticks"},
+                "the bounded-survivability report has no field 'ticks'",
+            ),
+            (
+                lambda docs: {
+                    **docs["bounded"], "mode": "bounded-realizability", "ticks": 0, "trace": []
+                },
+                "tick budget 0 is below 1",
+            ),
+            (
+                lambda docs: {**docs["unbounded"], "ticks": 2},
+                "the survivability report has a tick budget",
+            ),
+            (lambda docs: forge_term(docs["bounded"], term="Y"), "term is not ground"),
+            (
+                lambda docs: forge_term(docs["bounded"], term="Y", sort="Bogus"),
+                "undeclared sort 'Bogus'",
+            ),
+        ],
+        ids=[
+            "bounded-holds-without-ticks", "ticks-0-empty-trace", "unbounded-with-ticks",
+            "term-a-variable", "term-of-an-undeclared-sort",
+        ],
+    )
+    def test_forged_budget_or_term(self, counter_reports, tmp_path, capsys, forge, says):
+        spec, docs = counter_reports
+        rep = tmp_path / "forged.json"
+        rep.write_text(json.dumps(forge(docs)))
+        capsys.readouterr()
+        assert main(["replay", str(spec), str(rep)]) == 3
+        out, err = capsys.readouterr()
+        assert says in err
         assert "trace validates" not in out
 
 

@@ -74,12 +74,12 @@ class TestRoundTrips:
         for _ in range(40):
             sysm, init, cs = random_progressive_system(rng)
             spec = spec_of(sysm, init, cs)
-            for verdict in (
-                survivability(sysm, init, cs),
-                bounded_survivability(sysm, init, cs, 2),
-                bounded_realizability(sysm, init, cs, 2),
+            for verdict, ticks in (
+                (survivability(sysm, init, cs), None),
+                (bounded_survivability(sysm, init, cs, 2), 2),
+                (bounded_realizability(sysm, init, cs, 2), 2),
             ):
-                text = emit_report(VerdictReport(verdict, digest="d"))
+                text = emit_report(VerdictReport(verdict, ticks=ticks, digest="d"))
                 parsed = parse_report(text, spec)
                 assert parsed.outcome == verdict.outcome
                 if parsed.trace is not None:

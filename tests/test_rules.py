@@ -594,6 +594,27 @@ class TestClassifier:
         with pytest.raises(RuleError):
             check_progressive(make_system(sig, [r]))
 
+    @pytest.mark.parametrize(
+        "preserved, consumed, created",
+        [
+            # Consumes the clock and creates one three units later: it
+            # would move the clock in an instantaneous step.
+            (
+                [],
+                [RulePattern(Fact("F"), "T1"), RulePattern(Fact("Time"), "T2")],
+                [CreatedFact(Fact("F"), 1), CreatedFact(Fact("Time"), 3)],
+            ),
+            ([], [RulePattern(Fact("Time"), "T1")], [CreatedFact(Fact("F"), 1)]),
+            ([], [RulePattern(Fact("F"), "T1")], [CreatedFact(Fact("Time"), 1)]),
+            ([RulePattern(Fact("Time"), "T1")], [RulePattern(Fact("F"), "T2")], [CreatedFact(Fact("F"), 1)]),
+        ],
+        ids=["moves-the-clock", "consumes-the-clock", "creates-a-clock", "preserves-the-clock"],
+    )
+    def test_time_fact_in_the_sides_is_rejected(self, preserved, consumed, created):
+        # The clock is read through the time variable only, as in a spec.
+        with pytest.raises(RuleError, match="^rule 'clock': a Time fact is the clock"):
+            expand_rule("clock", "T", preserved, consumed, created)
+
 
 class TestComputeDmax:
     def test_ground_scenario_rules_alone(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,14 +24,80 @@ from tmsr import (
 )
 from tmsr.rules import CriticalPair, Rule
 from tmsr.scenarios import Cnf3, DroneParams, TmSpec, gen_3sat, gen_drone, gen_tm
+from tmsr.scenarios import drone
 from tmsr.scenarios.drone import GeneratorError, greedy_action
 from tmsr.scenarios.sat import CnfError
 from tmsr.scenarios.turing import TmError
 from tmsr.specfile import parse_spec, print_spec
 from tmsr.terms import fact_text
 
+# The sha256 of print_spec(gen_drone(DroneParams(**params))) for each
+# params, so that a change to how the generator builds its rules cannot
+# change the system it builds: greedy and free, one to three drones,
+# recency 2 to 10, wind (also off the grid), the single-slot station with
+# and without its own bound, and two points.
+PINNED_DRONE_SPECS = [
+    (dict(),
+     "60f274a4d4e89ab4f99e48ce9b29f7368e72b777c78f6ab796a1f5331e9d7d1a"),
+    (dict(recency=2),
+     "3ce5dc637baf1bfb727c9ed6a04026a16ea0d008fee8fa36a89b1d176cd84f95"),
+    (dict(recency=3, drones=2),
+     "023f678d62e2442635f5f3bb8d7b1944d8c8b353146b6e90e48c68a03b6ea1fb"),
+    (dict(recency=8, drones=2),
+     "586d87b6538b4b26764e4008122776ba2fe336d60fb78f32b4a017d75ffa9075"),
+    (dict(recency=9, drones=2),
+     "3e6ed1f22710aca6fbd4e570a0dca2029ad7e1e4635ecc4223e4d10e288a45d4"),
+    (dict(recency=3, drones=3),
+     "6e6c988cf97791d058bacde966bba4a65c8ef92fe138455dfaab9fd44bac1794"),
+    (dict(points=((0, 1), (2, 1)), recency=6),
+     "53d7fce6481cb6e06f203e7ee6d8811b68d5373d28b32a1c689274a696a91a14"),
+    (dict(points=((0, 0), (2, 2)), recency=3, drones=2),
+     "7aed3437c22ef7c1eaaa4a766690c9f03defd59910ffae6332acdf919e2640c5"),
+    (dict(recency=6, wind=((0, 1, 'east'), (2, 2, 'north'))),
+     "375cc6c51f7087ab978db40fb4fa0faa0cab08d99663250a796360ff033bf086"),
+    (dict(single_slot_station=True, drones=2, recency=3),
+     "47bd326d75c67aca33802ba1d2186e0b698e3eab4c7cf73b9b0a4e55f0d6979c"),
+    (dict(single_slot_station=True, station_bound=5, recency=2),
+     "8e0f93baafc5e43e4ec2a39896c8a68c8ebf480ddc425260f2bc0ccc17e0ebc7"),
+    (dict(points=((1, 1),), recency=2, energy_cap=2),
+     "3d9c30f0ab240598e9601ed703be7d27f19677f0de4cd53b967913a8051dc391"),
+    (dict(strategy='free'),
+     "374ff260541bee01c15bfd118a6acdb80a3f8b571a9e3dfa592bc33676c77b8e"),
+    (dict(strategy='free', drones=2, recency=8),
+     "65db00389742900f6da127b21d45bb62ce9eb4b9144ef5988148bb94f3964630"),
+    (dict(strategy='free', drones=3, recency=9),
+     "0c19c3b79879564ad230b9d0504277d3c3bff1001bb958b3107cd7f9a8f25379"),
+    (dict(strategy='free', points=((0, 2), (2, 0)), x_max=2, y_max=2, recency=3),
+     "c02c6c4b5165b2d48f647883cc43566e01bc5d60a585d047ef9e7b82e3d39095"),
+    (dict(strategy='free', wind=((1, 1, 'north'), (0, 0, 'east'), (0, 0, 'west'))),
+     "4cecdd5021df01fac6c8b9fd5f362cb317ec6a999869db4a0d28f9b726623e76"),
+    (dict(strategy='free', single_slot_station=True, drones=2, station_bound=4, recency=6),
+     "d0412f935696c6b321882ce266c0c634ddfc3ac8a40390b9ae4ca1cc921d4a5f"),
+    (dict(points=((0, 1), (2, 2)), single_slot_station=True, wind=((1, 1, 'south'),), recency=3),
+     "0565a43b4edf99f578b964955efed70220dd7a9872b6c817d888c3b7741f2e52"),
+    (dict(strategy='free', energy_cap=1, base=(0, 0), points=((0, 0), (2, 2))),
+     "8236f80cc1068df0acddc1272be5ae58b338b3bbaf30a15d89a0d298f14f314c"),
+    (dict(strategy='free', points=((0, 2), (2, 0)), x_max=3, y_max=2, recency=10, energy_cap=8),
+     "ee1e4cde7ec879371294bd33166667120ab9a3ffa93d04b618dac8262dff3e37"),
+]
+
 
 class TestDroneGenerator:
+    @pytest.mark.parametrize("params, digest", PINNED_DRONE_SPECS)
+    def test_printed_spec_is_pinned(self, params, digest):
+        text = print_spec(gen_drone(DroneParams(**params)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_both_rule_ceilings(self, monkeypatch):
+        # The greedy strategy is checked on its 1 * 3 * 3 * 5 * 7 = 315
+        # states before it builds a rule, any system on its rule count.
+        monkeypatch.setattr(drone, "MAX_RULES", 300)
+        with pytest.raises(GeneratorError, match="needs 315 rule slots, over the ceiling 300"):
+            gen_drone(DroneParams())
+        monkeypatch.setattr(drone, "MAX_RULES", 100)
+        with pytest.raises(GeneratorError, match="104 rules exceed the ceiling 100"):
+            gen_drone(DroneParams(strategy="free"))
+
     def test_all_rules_balanced_and_progressive(self):
         for params in (
             DroneParams(),

@@ -13,9 +13,7 @@ from tmsr.specfile import (
     HEADER,
     SpecParseError,
     SpecParser,
-    parse_fact_text,
     parse_spec,
-    parse_term_text,
     print_spec,
 )
 
@@ -164,10 +162,11 @@ class TestParse:
 
     def test_fact_text_helper(self):
         spec = parse_spec(SAMPLE)
-        f = parse_fact_text(spec, "Dr(d1,1,2,10)")
+        parser = SpecParser.for_signature(spec)
+        f = parser.fact_text("Dr(d1,1,2,10)")
         assert f == Fact("Dr", (Const("d1"), 1, 2, 10))
         with pytest.raises(SpecParseError):
-            parse_fact_text(spec, "Dr(X,1,2,10)")
+            parser.fact_text("Dr(X,1,2,10)")
 
     def test_function_symbols_round_trip_and_match(self):
         # Successor patterns walk a coordinate inside a function term; the
@@ -306,6 +305,7 @@ MALFORMED_FACTS = {
 MALFORMED_TERMS = {
     "term-wrong-sort": ("p1", "Nat"),
     "term-empty": ("", "Nat"),
+    "term-not-ground": ("s(X)", "Nat"),
 }
 DIAGNOSTICS = {
     "nullary-unclosed": ("syntax", 1, 5, "1:5: [syntax] unexpected end of line"),
@@ -391,6 +391,7 @@ DIAGNOSTICS = {
     "fact-non-ascii-digit": ("syntax", 1, 8, "1:8: [syntax] unexpected character '\u0661'"),
     "term-wrong-sort": ("sort", 1, 1, "1:1: [sort] constant 'p1' has sort 'Id', expected 'Nat'"),
     "term-empty": ("syntax", 1, 1, "1:1: [syntax] unexpected end of line"),
+    "term-not-ground": ("syntax", 1, 0, "1:0: [syntax] term is not ground"),
 }
 
 
@@ -399,9 +400,9 @@ def _diagnose(name):
         if name in MALFORMED_SPECS:
             parse_spec(MALFORMED_SPECS[name])
         elif name in MALFORMED_FACTS:
-            parse_fact_text(parse_spec(PRE + INIT), MALFORMED_FACTS[name])
+            SpecParser.for_signature(parse_spec(PRE + INIT)).fact_text(MALFORMED_FACTS[name])
         else:
-            parse_term_text(parse_spec(PRE + INIT), *MALFORMED_TERMS[name])
+            SpecParser.for_signature(parse_spec(PRE + INIT)).term_text(*MALFORMED_TERMS[name])
     exc = err.value
     return (exc.code, exc.line, exc.col, str(exc))
 
@@ -543,7 +544,7 @@ init: Time@0, F(3)@0, U(a)@0, Q@0
     def test_nullary_fact_with_or_without_parentheses(self, written):
         name = written.strip(" ()")
         spec = parse_spec(self.NULLARY)
-        assert parse_fact_text(spec, written) == Fact(name)
+        assert SpecParser.for_signature(spec).fact_text(written) == Fact(name)
         other = "A1" if name == "Time" else "Time"
         spec = parse_spec(f"tmsr-spec 1\npred A1\ninit: {written}@0, {other}@0\n")
         assert spec.init.facts == parse_spec(self.NULLARY).init.facts
