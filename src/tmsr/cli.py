@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
                 spec.system, spec.init, spec.critical, ticks, budget
             )
 
-    report = VerdictReport(verdict, ticks=ticks, digest=input_digest(text))
+    report = VerdictReport(verdict, digest=input_digest(text))
     payload = emit_report(report)
     if args.out:
         _write(args.out, payload)

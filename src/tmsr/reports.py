@@ -85,9 +85,19 @@ def input_digest(spec_text: str) -> str:
 
 @dataclass(frozen=True)
 class VerdictReport:
+    """A verdict and the digest of its input. The report's tick budget is
+    the verdict's; ``ticks``, when given, must equal it."""
+
     verdict: Verdict
     ticks: int | None = None
     digest: str = ""
+
+    def __post_init__(self) -> None:
+        if self.ticks is not None and self.ticks != self.verdict.ticks:
+            raise ValueError(
+                f"tick budget {self.ticks} given for a verdict with budget "
+                f"{self.verdict.ticks}"
+            )
 
 
 def report_json(report: VerdictReport) -> dict:
@@ -96,8 +106,8 @@ def report_json(report: VerdictReport) -> dict:
         "mode": v.mode,
         "outcome": v.outcome,
     }
-    if report.ticks is not None:
-        out["ticks"] = report.ticks
+    if v.ticks is not None:
+        out["ticks"] = v.ticks
     stats = {
         "states": v.stats.states,
         "peak_frontier": v.stats.peak_frontier,

@@ -9,8 +9,8 @@ quotient (``delta.abstract``), which is finite for balanced systems and
 bisimilar to the concrete graph; when the spec has interchangeable
 constants (``delta.symmetric_classes``), on the orbit of that normal
 member under their renamings (``delta.make_orbit_key``). Bounded modes key
-them on (configuration, ticks) and cut traces exactly at the n-th clock
-advance.
+them on the configuration itself, whose clock fact counts the ticks, and
+cut traces exactly at the n-th clock advance.
 
 Realizability is the depth-first search. Lazy sampling gives every state
 a successor, so an infinite compliant trace exists iff a compliant cycle
@@ -20,12 +20,11 @@ with exactly n clock advances.
 Survivability is realizability plus "every admissible trace is good".
 As every state has a successor, it holds exactly when no critical state
 is reachable. So the breadth-first search runs first, and the shortest
-path to a critical state is the counterexample. When there is none, the
-depth-first search supplies the witness; nothing it meets is critical,
-so it only follows first successors. Under a tick budget those are
-concrete and the breadth-first search has expanded them all, so it
-records each node's first successor and the witness is read off those
-records (``_first_successor_run``) without a second search.
+path to a critical state is the counterexample. When there is none and
+the search is unbounded, the depth-first search supplies the lasso.
+Under a tick budget the breadth-first search has generated every node up
+to the n-th clock advance, so the witness is its own shortest path to the
+first node with n ticks, and no second search runs.
 
 Two structural invariants are asserted on every explored path and
 counted in ``invariant_counters``: strictly fewer instantaneous steps
@@ -140,6 +139,7 @@ class Verdict:
     counterexample: Trace | None = None
     critical_pair: int | None = None
     note: str = ""
+    ticks: int | None = None  # the tick budget; None when unbounded
 
 
 def lazy_successors(
@@ -206,14 +206,16 @@ def _unbounded_key(
 @dataclass
 class _Search:
     """What the searches of one verdict share. ``key`` maps a configuration
-    and its tick count to the visited-set key: ``_unbounded_key`` when
-    unbounded (``n`` is None), the pair itself under a tick budget."""
+    to its visited-set key: ``_unbounded_key``'s function when unbounded
+    (``n`` is None), the configuration itself under a tick budget. Only
+    clock advances move the ``Time`` fact, so a configuration fixes its
+    tick count."""
 
     sys: System
     init: Configuration
     cs: CriticalSpec
     n: int | None
-    key: Callable[[Configuration, int], Hashable]
+    key: Callable[[Configuration], Hashable]
     cap: int | None
     clock: _Clock
     stats: SearchStats
@@ -233,7 +235,7 @@ def _decide(
 
     def done(outcome: str, **found) -> Verdict:
         stats.elapsed_ms = s.clock.elapsed_ms()
-        return Verdict(mode, outcome, stats, **found)
+        return Verdict(mode, outcome, stats, ticks=n, **found)
 
     hit = is_critical(cs, init)
     if hit is not None:
@@ -247,14 +249,13 @@ def _decide(
 
     survival = mode in (SURVIVABILITY, BOUNDED_SURVIVABILITY)
     if survival:
-        first = None if n is None else {}
-        outcome, found, pair = _critical_reach(s, first)
+        outcome, found, pair = _critical_reach(s)
         if outcome == FAILS:
             return done(FAILS, counterexample=found, critical_pair=pair)
         if outcome == UNKNOWN:
             return done(UNKNOWN, note=found)
-        if first is not None:
-            return done(HOLDS, witness=_first_successor_run(s, first))
+        if n is not None:
+            return done(HOLDS, witness=found)
     outcome, found = _compliant_run(s)
     if outcome == HOLDS:
         return done(HOLDS, witness=found)
@@ -298,10 +299,9 @@ def _new_search(
     stats = SearchStats(l_sigma_decimal=str(l_sigma), depth_cap=cap)
     if n is None:
         stats.symmetry = symmetric_classes(sys, cs)
-        unbounded = _unbounded_key(stats.symmetry, dmax)
-        key = lambda config, ticks: unbounded(config)
+        key = _unbounded_key(stats.symmetry, dmax)
     else:
-        key = lambda config, ticks: (config, ticks)
+        key = lambda config: config
     return _Search(sys, init, cs, n, key, cap, clock, stats)
 
 
@@ -362,7 +362,7 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
     # ``seen`` maps each key to the entry pushed for it (False if it was
     # never pushed); the entry is on the stack iff it is still at its index.
     stack = [(None, None, init, 0, 0, iter(lazy_successors(sys, init)), 0)]
-    seen = {key_of(init, 0): stack[0]}
+    seen = {key_of(init): stack[0]}
     peak = 0
     outcome, witness = FAILS, None
     while stack:
@@ -380,7 +380,7 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
             continue
         label, subst, child = step
         ticks = top[3] + (label == TICK_LABEL)
-        key = key_of(child, ticks)
+        key = key_of(child)
         entry = seen.get(key)
         if entry is not None:
             if entry is False or entry[6] >= len(stack) or stack[entry[6]] is not entry:
@@ -389,7 +389,8 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
             # Cycle closed: stem up to the entry of the key, cycle from there.
             at = entry[6]
             cycle = _steps(stack[at + 1 :] + [step])
-            # Bounded keys carry the tick count, so any repeat there lands here.
+            # A bounded key is the configuration, clock fact included, so
+            # any repeat there lands here.
             if not any(st.label == TICK_LABEL for st in cycle):
                 _violate("instantaneous_run", "witness cycle contains no clock advance")
             stem = Trace(init, _steps(stack[1 : at + 1]))
@@ -417,21 +418,20 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
 # Breadth-first search for a critical state (shortest counterexample).
 
 
-def _critical_reach(
-    s: _Search, first: dict | None = None
-) -> tuple[str, Trace | str | None, int | None]:
+def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
     """Layered search over the same keys as ``_compliant_run``; a node
     with ``n`` clock advances is not expanded. Returns (FAILS, shortest
-    path to a critical state, its pair index), (HOLDS, None, None) when no
-    critical state is reachable, or (UNKNOWN, the note naming the spent
-    budget, None). Like the depth-first search, it checks the budget for
-    every key generated. ``first``, when given, maps the key of each node
-    expanded to its first successor as (label, subst, child, child key,
-    child ticks)."""
+    path to a critical state, its pair index), (HOLDS, witness, None) when
+    no critical state is reachable, or (UNKNOWN, the note naming the spent
+    budget, None). Under a tick budget the witness is the path to the
+    first node generated with ``n`` clock advances, a shortest compliant
+    trace with n ticks; unbounded, it is None. Like the depth-first
+    search, it checks the budget for every key generated."""
     sys, cs, n, init, key_of, stats = s.sys, s.cs, s.n, s.init, s.key, s.stats
     m = len(init)
-    init_key = key_of(init, 0)
+    init_key = key_of(init)
     parents: dict = {init_key: None}
+    goal = None  # the key of the first node with n clock advances
     # Node: (key, config, ticks, run)
     layer = [(init_key, init, 0, 0)]
     depth = 0
@@ -443,14 +443,11 @@ def _critical_reach(
             next_layer = []
             for key, config, ticks, run in layer:
                 if ticks == n:
+                    if goal is None:
+                        goal = key
                     continue
-                lead = first is not None
                 for label, subst, child in lazy_successors(sys, config):
-                    child_ticks = ticks + (label == TICK_LABEL)
-                    child_key = key_of(child, child_ticks)
-                    if lead:
-                        first[key] = (label, subst, child, child_key, child_ticks)
-                        lead = False
+                    child_key = key_of(child)
                     if child_key in parents:
                         continue
                     parents[child_key] = (key, label, subst, child)
@@ -461,35 +458,13 @@ def _critical_reach(
                     if spent is not None:
                         return UNKNOWN, spent, None
                     child_run = _check_run(run, label, m)
+                    child_ticks = ticks + (label == TICK_LABEL)
                     next_layer.append((child_key, child, child_ticks, child_run))
             layer = next_layer
-        return HOLDS, None, None
+        return HOLDS, None if goal is None else _chain(parents, init, goal), None
     finally:
         stats.states += len(parents)
         stats.max_depth = max(stats.max_depth, depth)
-
-
-def _first_successor_run(s: _Search, first: dict) -> Trace:
-    """The bounded witness, read off the first successors that
-    ``_critical_reach`` recorded once it found no critical state: from the
-    initial configuration to the n-th clock advance. It is the trace
-    ``_compliant_run`` would find and is counted as that search counts it:
-    nothing on the path is critical, and its keys are concrete, so that
-    search follows first successors and, as a repeated key would be a cycle
-    without a clock advance, never turns back."""
-    m = len(s.init)
-    key, ticks, run = s.key(s.init, 0), 0, 0
-    steps = []
-    while ticks != s.n:
-        _check_depth(len(steps), s.cap)
-        label, subst, child, key, ticks = first[key]
-        run = _check_run(run, label, m)
-        steps.append(TraceStep(label, subst, child))
-    stats = s.stats
-    stats.states += len(steps) + 1
-    stats.peak_frontier = max(stats.peak_frontier, len(steps))
-    stats.max_depth = max(stats.max_depth, len(steps) - 1)
-    return Trace(s.init, tuple(steps))
 
 
 def _chain(parents, init, key) -> Trace:

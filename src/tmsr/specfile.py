@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from typing import NoReturn
 
 from .rules import (
     CreatedFact,
@@ -72,7 +73,6 @@ from .terms import (
     Var,
     check_fact,
     fact_text,
-    fact_vars,
     make_signature,
     normalize_term,
 )
@@ -622,13 +622,11 @@ class SpecParser:
         # the guard's text and the sides' clock, consumed and bound time
         # variables, on which the expansion and the guard's check depend.
         # A later line takes what is stored. A line for which any of this
-        # fails takes the full parse, which raises its diagnostic.
+        # fails, or that has no such head, takes the full parse, which
+        # raises its diagnostic.
         head = text.split('"')
         if len(head) != 3 or head[0].strip(_BLANKS) != "rule":
-            # Never a well-formed line: the full parse finds its fault.
-            name, left, guard, right = self._parse_rule_tokens(line, text)
-            parts = self._classify(line, name, left[0], right[0])
-            return self._rules(line, name, guard, None, parts)
+            self._parse_rule_tokens(line, text)
         _, name, rest = head
         before, _, right_text = rest.partition("->")
         left_text, bar, guard_text = before.partition("|")
@@ -651,8 +649,7 @@ class SpecParser:
         except SpecParseError:
             sides = parts = None
         if sides is None and parts is None:
-            name, left, guard, right = self._parse_rule_tokens(line, text)
-            parts = self._classify(line, name, left[0], right[0])
+            self._parse_rule_tokens(line, text)
         rules = self._rules(line, name, guard, sides, parts)
         sides = rules[0].sides
         if parts is not None:
@@ -711,11 +708,11 @@ class SpecParser:
         except RuleError as exc:
             raise SpecParseError("syntax", str(exc), line) from None
 
-    def _parse_rule_tokens(
-        self, line: int, text: str
-    ) -> tuple[str, _Side, tuple[TimeConstraint, ...], _Side]:
-        """A rule line's name, left side, guard atoms (before ``>=``
-        expansion) and right side, parsed from its tokens."""
+    def _parse_rule_tokens(self, line: int, text: str) -> NoReturn:
+        """Raise the diagnostic of a rule line that the segment reader
+        refused or whose head is not ``rule "name"``: parse it from its
+        tokens, with one variable sort across its sides, and classify its
+        sides. Such a line never parses."""
         cur = _Cursor(text, line, 1)
         toks = cur.toks
         name = cur.expect(1, "string").strip('"')
@@ -723,18 +720,14 @@ class SpecParser:
             raise cur.expected(2, repr(":"))
         vars_seen: dict[str, str] = {}
         lhs, i = self._parse_patterns(cur, 3, vars_seen)
-        left_sorts = dict(vars_seen)
-        guard: tuple[TimeConstraint, ...] = ()
         if toks[i] == "|":
-            guard, i = self._parse_guard(cur, i + 1)
+            _, i = self._parse_guard(cur, i + 1)
         if toks[i] != "->":
             raise cur.expected(i, repr("arrow"))
         rhs, i = self._parse_created(cur, i + 1, vars_seen)
         cur.end(i)
-        right_sorts = {}
-        if vars_seen:
-            right_sorts = {v.name: v.sort for f, _, _ in rhs for v in fact_vars(f)}
-        return name, (tuple(lhs), left_sorts), guard, (rhs, right_sorts)
+        self._classify(line, name, lhs, rhs)
+        raise AssertionError(f"line {line}: rule line refused, yet it parses")
 
     @staticmethod
     def _classify(line: int, name: str, lhs: _Left, rhs: _Right) -> _Parts:
@@ -838,15 +831,9 @@ class SpecParser:
         cur.expect(3, "{")
         pairs, i = self._parse_patterns(cur, 4, {})
         patterns = [RulePattern(f, tv) for f, tv in pairs]
-        guard: list[TimeConstraint] = []
+        guard: tuple[TimeConstraint, ...] = ()
         if toks[i] == "|":
-            i += 1
-            while toks[i] != "}":
-                c, i = self._parse_constraint(cur, i)
-                guard.append(c)
-                if toks[i] != ",":
-                    break
-                i += 1
+            guard, i = self._parse_guard(cur, i + 1)
         cur.expect(i, "}")
         cur.end(i + 1)
         try:

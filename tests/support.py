@@ -6,7 +6,9 @@ cycles with networkx, the matcher enumerates candidate substitutions
 exhaustively, the reference scan runs every rule through a plain
 backtracking matcher, the reference rewrite is multiset arithmetic on
 the fact list, and satisfiability / machine termination are
-decided by direct enumeration and simulation. A rule line's reference
+decided by direct enumeration and simulation. The bounded oracle is the
+graph of concrete configurations that the reference scan and rewrite
+reach, with distances taken by networkx. A rule line's reference
 parse is the spec with every other rule line blanked. A renaming of
 constants is checked against the rules and critical pairs by renaming
 every term and comparing the multisets.
@@ -309,6 +311,32 @@ def oracle_verdicts(
             realizable = True
             break
     return realizable, realizable and not critical_reachable
+
+
+def bounded_graph(sys: System, init: Configuration, cs: CriticalSpec, n: int):
+    """The concrete configurations reachable from ``init`` under lazy
+    sampling, found with the reference scan and rewrite, as a graph with an
+    edge per step. A configuration's clock fact counts its clock advances;
+    critical nodes and nodes at the n-th advance are not expanded. Returns
+    the graph, its critical nodes and its nodes at the n-th advance."""
+    graph = nx.DiGraph()
+    graph.add_node(init)
+    critical, last = set(), set()
+    stack = [init]
+    while stack:
+        node = stack.pop()
+        if reference_is_critical(cs, node) is not None:
+            critical.add(node)
+            continue
+        if node.time - init.time == n:
+            last.add(node)
+            continue
+        pairs = reference_enabled(sys, node)
+        for child in [reference_rewrite(r, node, s) for r, s in pairs] or [tick(node)]:
+            if child not in graph:
+                stack.append(child)
+            graph.add_edge(node, child)
+    return graph, critical, last
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The benchmark's tracer wraps tmsr functions by name, where the program
 looks them up (``bench/tracing.py``), and its workloads call the scenario
-generators with keywords (``bench/workloads.py``). The benchmark is not
-part of this suite, so these tests pin every name it wraps and every
-keyword it passes: renaming or deleting one would otherwise break only
-``bench/run.py``."""
+generators with keywords and run items through the library and the CLI
+(``bench/workloads.py``). The benchmark is not part of this suite, so
+these tests pin every name it wraps, every keyword it passes and every
+call its runners make, on one item each: renaming or deleting one would
+otherwise break only ``bench/run.py``."""
 
 from __future__ import annotations
 
@@ -86,3 +87,32 @@ def test_drone_workloads_generate_their_specs():
     for item in items:
         spec = parse_spec(workloads.generate(m, item))
         assert spec.system.rules, item.label
+
+
+def test_in_process_runner_certifies_each_kind_of_item():
+    """``run_in_process`` and ``check_in_process`` on a satisfiable and an
+    unsatisfiable formula (bounded realizability) and on a free drone spec
+    (unbounded survivability)."""
+    workloads = load_bench("workloads")
+    m = tmsr_namespace()
+    sweep = workloads.draw_sat_sweep(0)
+    items = [
+        next(item for item in sweep if item.expected == workloads.HOLDS),
+        next(item for item in sweep if item.expected == workloads.FAILS),
+        workloads.draw_drone_free(0)[0],
+    ]
+    for item in items:
+        result = workloads.run_in_process(m, item, workloads.generate(m, item))
+        assert workloads.check_in_process(item, result) is None, item.label
+
+
+def test_cli_runner_certifies_a_greedy_item(tmp_path):
+    """``run_cli`` and ``check_cli`` on greedy d1 r6: ``tmsr verify --ticks``
+    and ``tmsr replay`` on a spec file."""
+    workloads = load_bench("workloads")
+    m = tmsr_namespace()
+    item = next(i for i in workloads.draw_drone_greedy(0) if i.label == "greedy d1 r6")
+    spec_path = tmp_path / "spec.tmsr"
+    spec_path.write_text(workloads.generate(m, item), encoding="utf-8")
+    result = workloads.run_cli(m, item, str(spec_path), str(tmp_path / "report.json"))
+    assert workloads.check_cli(item, result) is None

@@ -173,13 +173,14 @@ class TestWriter:
         rng = random.Random(1818)
         for _ in range(40):
             sysm, init, cs = random_progressive_system(rng)
-            for verdict in (
-                realizability(sysm, init, cs),
-                survivability(sysm, init, cs),
-                bounded_realizability(sysm, init, cs, 2),
-                bounded_survivability(sysm, init, cs, 2, SearchBudget(max_states=rng.randint(1, 30))),
+            budget = SearchBudget(max_states=rng.randint(1, 30))
+            for verdict, ticks in (
+                (realizability(sysm, init, cs), None),
+                (survivability(sysm, init, cs), None),
+                (bounded_realizability(sysm, init, cs, 2), 2),
+                (bounded_survivability(sysm, init, cs, 2, budget), 2),
             ):
-                assert_json_bytes(VerdictReport(verdict, ticks=2, digest="d"))
+                assert_json_bytes(VerdictReport(verdict, ticks=ticks, digest="d"))
 
     def test_escaped_name_empty_lists_null_subst_and_float(self):
         sysm, init = odd_name_system()
@@ -194,6 +195,32 @@ class TestWriter:
         verdict = survivability(sysm, init, cs)
         text = assert_json_bytes(VerdictReport(verdict))
         assert '"trace": []' in text and '"symmetry": []' in text
+
+
+class TestTickBudget:
+    """A report's tick budget is its verdict's, so every report it writes
+    names the budget that ``parse_report`` asks of its mode."""
+
+    def test_budget_comes_from_the_verdict(self):
+        sysm, init = odd_name_system()
+        for verdict, want in (
+            (realizability(sysm, init, CriticalSpec()), None),
+            (bounded_survivability(sysm, init, CriticalSpec(), 3), 3),
+        ):
+            assert verdict.ticks == want
+            spec = spec_of(sysm, init, CriticalSpec())
+            parsed = parse_report(emit_report(VerdictReport(verdict)), spec)
+            assert parsed.ticks == want
+
+    @pytest.mark.parametrize("bounded, ticks", [(False, 2), (True, 3)])
+    def test_mismatched_budget_is_refused(self, bounded, ticks):
+        sysm, init = odd_name_system()
+        if bounded:
+            verdict = bounded_realizability(sysm, init, CriticalSpec(), 2)
+        else:
+            verdict = realizability(sysm, init, CriticalSpec())
+        with pytest.raises(ValueError, match="tick budget"):
+            VerdictReport(verdict, ticks=ticks)
 
 
 def greedy_report():

@@ -1,12 +1,15 @@
 import contextlib
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+import networkx as nx
 from support import (
     SMALL_TM,
     all_small_cnfs,
+    bounded_graph,
     oracle_verdicts,
     random_progressive_system,
     symmetry_off,
@@ -46,9 +49,8 @@ from tmsr import (
     validate_lasso,
     validate_trace,
 )
-from tmsr.rules import TICK_LABEL, is_critical
+from tmsr.rules import TICK_LABEL
 from tmsr.scenarios import Cnf3, DroneParams, gen_3sat, gen_drone, gen_tm
-from tmsr.search import _compliant_run, _critical_reach, _new_search
 
 
 def ts(fact, t):
@@ -163,48 +165,46 @@ class TestBoundedSurvivability:
         assert outcomes[12] == HOLDS and outcomes[6] == HOLDS
 
 
-def compliant_run_oracle(sysm, init, cs, n, budget=None):
-    """What the depth-first search finds after the critical-state search
-    of a bounded-survivability verdict has found no critical state, run on
-    the very ``_Search`` of that verdict: (witness, statistics), or None
-    when the critical-state search does not hold."""
-    s = _new_search(sysm, init, cs, n, budget)
-    if is_critical(cs, init) is not None or _critical_reach(s)[0] != HOLDS:
-        return None
-    outcome, witness = _compliant_run(s)
-    assert outcome == HOLDS
-    return witness, s.stats
-
-
 def untimed(stats):
     return dataclasses.replace(stats, elapsed_ms=0.0)
 
 
-def assert_witness_is_the_compliant_run(sysm, init, cs, n, budget=None) -> bool:
-    """The bounded-survivability witness and statistics are those of the
-    depth-first search it no longer runs; True if the verdict holds."""
-    v = bounded_survivability(sysm, init, cs, n, budget)
-    want = compliant_run_oracle(sysm, init, cs, n, budget)
-    assert (v.outcome == HOLDS) == (want is not None)
-    if want is None:
+def assert_bounded_survivability_oracle(sysm, init, cs, n) -> bool:
+    """The bounded-survivability verdict against the reference graph of
+    ``bounded_graph``: it holds iff no critical node is reachable. A
+    counterexample is a shortest path to a critical node. A witness replays
+    with n ticks and is a shortest path to a node at the n-th advance, and
+    the statistics count the graph's nodes and its widest breadth-first
+    layer. True if the verdict holds."""
+    v = bounded_survivability(sysm, init, cs, n)
+    graph, critical, last = bounded_graph(sysm, init, cs, n)
+    distance = nx.single_source_shortest_path_length(graph, init)
+    if critical:
+        assert v.outcome == FAILS
+        assert validate_trace(
+            sysm, cs, v.counterexample, expected_ticks=n, expect_critical_end=True
+        )
+        assert len(v.counterexample.steps) == min(distance[c] for c in critical)
         return False
-    witness, stats = want
-    assert v.witness == witness
-    assert untimed(v.stats) == untimed(stats)
+    assert v.outcome == HOLDS
     assert validate_trace(sysm, cs, v.witness, expected_ticks=n)
+    assert len(v.witness.steps) == min(distance[c] for c in last)
+    assert v.stats.states == graph.number_of_nodes()
+    assert v.stats.peak_frontier == max(Counter(distance.values()).values())
     return True
 
 
 class TestBoundedSurvivabilityWitness:
-    """The witness is read off the critical-state search's first
-    successors; ``_compliant_run`` on the same search is the oracle."""
+    """The witness is the critical-state search's own shortest path to the
+    n-th clock advance; the reference graph of concrete configurations is
+    the oracle."""
 
     def test_random_progressive_systems(self):
         rng = random.Random(18018)
         held = 0
         for _ in range(300):
             sysm, init, cs = random_progressive_system(rng)
-            held += assert_witness_is_the_compliant_run(sysm, init, cs, rng.randint(1, 4))
+            held += assert_bounded_survivability_oracle(sysm, init, cs, rng.randint(1, 4))
         assert held >= 100
 
     @pytest.mark.parametrize(
@@ -220,7 +220,7 @@ class TestBoundedSurvivabilityWitness:
     def test_drone_rungs(self, params, ticks):
         spec = gen_drone(params)
         for n in ticks:
-            assert assert_witness_is_the_compliant_run(spec.system, spec.init, spec.critical, n)
+            assert assert_bounded_survivability_oracle(spec.system, spec.init, spec.critical, n)
 
     def test_sat_systems(self):
         held = 0
@@ -228,7 +228,7 @@ class TestBoundedSurvivabilityWitness:
             variables = max(abs(lit) for c in clauses for lit in c)
             spec = gen_3sat(Cnf3(variables, clauses))
             for n in (len(clauses), len(clauses) + 1):
-                held += assert_witness_is_the_compliant_run(
+                held += assert_bounded_survivability_oracle(
                     spec.system, spec.init, spec.critical, n
                 )
         assert held >= 50
@@ -236,28 +236,31 @@ class TestBoundedSurvivabilityWitness:
     def test_tm_system(self):
         spec = gen_tm(SMALL_TM)
         for n in range(1, 12):
-            assert assert_witness_is_the_compliant_run(spec.system, spec.init, spec.critical, n)
+            assert assert_bounded_survivability_oracle(spec.system, spec.init, spec.critical, n)
+
+    def test_greedy_rungs_count_one_search(self):
+        spec = gen_drone(DroneParams(drones=2, recency=9))
+        v = bounded_survivability(spec.system, spec.init, spec.critical, 36)
+        got = (v.stats.states, v.stats.peak_frontier, v.stats.max_depth, len(v.witness.steps))
+        assert (v.outcome, got) == (HOLDS, (145, 2, 109, 108))
 
     def test_state_budgets_across_the_witness_length(self):
-        # Greedy d1 r6 at 24 ticks holds in 98 states, 48 of them on the
-        # witness: budgets from below the witness to above the whole count.
+        # Greedy d1 r6 at 24 ticks holds in 49 states, all but the initial
+        # one on the 48-step witness: a budget below the count runs out.
         spec = gen_drone(DroneParams(recency=6))
         args = (spec.system, spec.init, spec.critical, 24)
         full = bounded_survivability(*args)
-        assert (full.outcome, full.stats.states, len(full.witness.steps)) == (HOLDS, 98, 48)
-        outcomes = set()
-        for states in range(40, 158):
-            budget = SearchBudget(max_states=states)
-            v = bounded_survivability(*args, budget)
-            outcomes.add(v.outcome)
-            want = compliant_run_oracle(*args, budget)
-            if want is None:
-                s = _new_search(*args, budget)
-                outcome, note, _ = _critical_reach(s)
-                assert (v.outcome, v.note, untimed(v.stats)) == (outcome, note, untimed(s.stats))
+        assert (full.outcome, full.stats.states, len(full.witness.steps)) == (HOLDS, 49, 48)
+        for states in range(30, 70):
+            v = bounded_survivability(*args, SearchBudget(max_states=states))
+            if states < 49:
+                assert (v.outcome, v.note, v.stats.states) == (
+                    UNKNOWN,
+                    "state budget exhausted",
+                    states + 1,
+                )
             else:
-                assert (v.witness, untimed(v.stats)) == (want[0], untimed(want[1]))
-        assert outcomes == {HOLDS, UNKNOWN}
+                assert (v.witness, untimed(v.stats)) == (full.witness, untimed(full.stats))
 
 
 class TestRealizability:

@@ -259,6 +259,10 @@ MALFORMED_SPECS = {
     "duplicate-sort": PRE + "sort Id\n" + INIT,
     "tvar-lowercase": PRE + 'rule "m": Time@t -> Time@t\n' + INIT,
     "critical-unclosed": PRE + INIT + 'critical "c": { P(p1,0,1)@T\n',
+    "critical-bar-without-guard": PRE + INIT + 'critical "c": { P(p1,0,1)@T | }\n',
+    "critical-guard-trailing-comma": PRE
+    + INIT
+    + 'critical "c": { P(p1,0,1)@T, Time@T2 | T2 > T, }\n',
     "tab-indented-error": PRE + INIT + '\tcritical\t"c": { P(p1,0,1)@T | T ! T }\n',
     "stray-in-critical-before-rule-error": PRE
     + 'rule "m": Time@T, Ghost@T -> Time@T\n'
@@ -344,6 +348,18 @@ DIAGNOSTICS = {
     "duplicate-sort": ("duplicate", 7, 6, "7:6: [duplicate] sort 'Id' already declared"),
     "tvar-lowercase": ("syntax", 7, 16, "7:16: [syntax] time variable expected, found 't'"),
     "critical-unclosed": ("syntax", 8, 27, "8:27: [syntax] unexpected end of line"),
+    "critical-bar-without-guard": (
+        "syntax",
+        8,
+        31,
+        "8:31: [syntax] expected 'ident', found '}'",
+    ),
+    "critical-guard-trailing-comma": (
+        "syntax",
+        8,
+        48,
+        "8:48: [syntax] expected 'ident', found '}'",
+    ),
     "tab-indented-error": ("syntax", 8, 34, "8:34: [syntax] unexpected character '!'"),
     "stray-in-critical-before-rule-error": (
         "syntax",
