@@ -106,13 +106,15 @@ def symmetric_classes(sys: System, cs: CriticalSpec) -> tuple[tuple[str, ...], .
     the searches need, so the initial configuration need not be
     symmetric.
 
-    Each rule is compared as a tuple in pattern order, variable names
-    included; two rules equal up to the order of their patterns count as
-    different, which may miss a symmetry but never reports a false one.
-    Accepted swaps form an equivalence, since (a c) = (a b)(b c)(a b), so
-    each constant is tested against one member of each class found so
-    far, and transpositions generate every permutation of a class. Pattern
-    facts are interned once, so a test is one pass over the rules."""
+    Each rule is compared as its guard and its sides in pattern order,
+    variable names included; two rules equal up to the order of their
+    patterns count as different, which may miss a symmetry but never
+    reports a false one. Accepted swaps form an equivalence, since (a c) =
+    (a b)(b c)(a b), so each constant is tested against one member of each
+    class found so far, and transpositions generate every permutation of
+    a class. Pattern facts are interned once, and rules share their sides
+    and guards, so a test renames each distinct sides once and then
+    counts the rules as (guard, sides) pairs."""
     by_sort: dict[str, list[str]] = {}
     for name, sort in sys.signature.constants.items():
         if sort != NAT:
@@ -121,30 +123,30 @@ def symmetric_classes(sys: System, cs: CriticalSpec) -> tuple[tuple[str, ...], .
     if not sorts:
         return ()
 
-    # A rule or pair becomes a tuple of ints: the interned id of its shape
-    # (everything but its name and pattern facts), then the ids of its
-    # pattern facts in order.
+    # Each distinct rule sides and each critical pair becomes a tuple of
+    # ints, numbered in ``items``: the interned id of its shape (everything
+    # but its pattern facts), then the ids of its pattern facts in order. A
+    # rule counts as the id of its guard and the number of its sides, a
+    # pair as None and its number. Rules share their sides, and each sides
+    # object is read once.
     ids: dict = {}
     intern = ids.setdefault
+    items: dict[tuple[int, ...], int] = {}
 
-    def item(shape: tuple, facts: list[Fact]) -> tuple[int, ...]:
-        out = [intern(shape, len(ids))]
-        for f in facts:
-            out.append(intern(f, len(ids)))
-        return tuple(out)
+    def number(shape: tuple, patterns, created=()) -> int:
+        shape += tuple([p.tvar for p in patterns] + [cf.offset for cf in created])
+        facts = [p.fact for p in patterns] + [cf.fact for cf in created]
+        got = tuple([intern(shape, len(ids))] + [intern(f, len(ids)) for f in facts])
+        return items.setdefault(got, len(items))
 
-    rules = []
-    for r in sys.rules:
-        patterns = r.preserved + r.consumed
-        shape = (
-            r.time_var, r.guard, len(r.preserved), len(r.consumed),
-            *[p.tvar for p in patterns], *[cf.offset for cf in r.created],
-        )
-        rules.append(item(shape, [p.fact for p in patterns] + [cf.fact for cf in r.created]))
-    pairs = [
-        item((pair.guard, *[p.tvar for p in pair.patterns]), [p.fact for p in pair.patterns])
-        for pair in cs.pairs
-    ]
+    sides = {}
+    for s in {id(r.sides): r.sides for r in sys.rules}.values():
+        shape = (s.time_var, len(s.preserved), len(s.consumed))
+        sides[id(s)] = number(shape, s.patterns, s.created)
+    counts = Counter((intern(r.guard, len(ids)), sides[id(r.sides)]) for r in sys.rules)
+    for pair in cs.pairs:
+        counts[None, number((pair.guard,), pair.patterns)] += 1
+    counts = dict(counts)  # compared as a dict: Counter's == is slow
     users: dict[str, list[Fact]] = {}
     for f in ids:
         if isinstance(f, Fact):
@@ -154,11 +156,6 @@ def symmetric_classes(sys: System, cs: CriticalSpec) -> tuple[tuple[str, ...], .
             for name in mentioned:
                 users.setdefault(name, []).append(f)
 
-    def onto_itself(items: list[tuple[int, ...]], image: dict[int, int]) -> bool:
-        domain = image.keys()
-        moved = [item for item in items if not domain.isdisjoint(item)]
-        return Counter(moved) == Counter(tuple(map(image.get, item, item)) for item in moved)
-
     def swappable(a: str, b: str) -> bool:
         swap = {a: Const(b), b: Const(a)}
         image = {}
@@ -167,7 +164,11 @@ def symmetric_classes(sys: System, cs: CriticalSpec) -> tuple[tuple[str, ...], .
             if j is None:
                 return False  # no rule or pair holds the renamed fact
             image[ids[f]] = j
-        return onto_itself(rules, image) and onto_itself(pairs, image)
+        # The renaming is injective on facts, so on items, rules and pairs:
+        # they map onto themselves iff every count is kept. An item renamed
+        # to none of the items maps to None, which no count has.
+        to = [items.get(tuple(map(image.get, got, got))) for got in items]
+        return {(g, to[i]): k for (g, i), k in counts.items()} == counts
 
     order = {name: i for i, name in enumerate(sys.signature.constants)}
     classes = []

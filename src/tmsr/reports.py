@@ -1,11 +1,10 @@
 """JSON verdict reports: emission and re-ingestion for replay.
 
 Schema (stable): mode, outcome, ticks (the tick budget, at least 1, in
-bounded modes only), statistics (states,
-peak_frontier, max_depth, optional depth_cap, elapsed_ms,
-l_sigma_decimal, and in unbounded modes symmetry: the classes of
-interchangeable constants the states were counted up to, as lists of
-names), init (canonical config array), trace (step array,
+bounded modes only), statistics (states, peak_frontier, max_depth,
+optional depth_cap, elapsed_ms, l_sigma_decimal, and symmetry: the
+classes of interchangeable constants the states were counted up to, as
+lists of names), init (canonical config array), trace (step array,
 present for bounded witnesses and for counterexamples), lasso (stem and
 cycle step arrays, present for unbounded holds), optional critical_pair
 and note, version and input digest. Configurations always serialize in
@@ -117,8 +116,7 @@ def report_json(report: VerdictReport) -> dict:
     }
     if v.stats.depth_cap is not None:
         stats["depth_cap"] = v.stats.depth_cap
-    if v.stats.symmetry is not None:
-        stats["symmetry"] = [list(members) for members in v.stats.symmetry]
+    stats["symmetry"] = [list(members) for members in v.stats.symmetry]
     out["statistics"] = stats
 
     trace = None

@@ -3,14 +3,16 @@
 All four run on one explorer: a depth-first search for a compliant run
 and a breadth-first search for a critical state. Both explore concrete
 configurations from the initial one, so witnesses and counterexamples are
-concrete traces. Unbounded modes key their visited sets on the normal
-member of each configuration's class in the truncated-difference
-quotient (``delta.abstract``), which is finite for balanced systems and
-bisimilar to the concrete graph; when the spec has interchangeable
-constants (``delta.symmetric_classes``), on the orbit of that normal
-member under their renamings (``delta.make_orbit_key``). Bounded modes key
-them on the configuration itself, whose clock fact counts the ticks, and
-cut traces exactly at the n-th clock advance.
+concrete traces. They key their visited sets on the normal member of each
+configuration's class in the truncated-difference quotient
+(``delta.abstract``), which is finite for balanced systems and bisimilar
+to the concrete graph; when the spec has interchangeable constants
+(``delta.symmetric_classes``), on the orbit of that normal member under
+their renamings (``delta.make_orbit_key``). Under a tick budget the key
+also holds the clock's stamp, which counts the ticks: two configurations
+with one key at one tick count have the same futures up to renaming for
+the rest of the budget, so a shortest counterexample stays shortest, and
+the searches cut traces exactly at the n-th clock advance.
 
 Realizability is the depth-first search. Lazy sampling gives every state
 a successor, so an infinite compliant trace exists iff a compliant cycle
@@ -102,8 +104,8 @@ class Trace:
 @dataclass(frozen=True)
 class Lasso:
     """Finite witness of an infinite compliant trace: a stem into a cycle
-    of the quotient graph. The cycle's endpoints have equal unbounded keys
-    (see ``_unbounded_key``), and need not be equal configurations: the
+    of the quotient graph. The cycle's endpoints have equal quotient keys
+    (see ``_quotient_key``), and need not be equal configurations: the
     end may be a renamed copy of the start, and repeating the cycle under
     that renaming goes on forever."""
 
@@ -123,11 +125,11 @@ class SearchStats:
     peak_frontier: int = 0
     elapsed_ms: float = 0.0
     l_sigma_decimal: str | None = None
-    max_depth: int = 0
+    max_depth: int = 0  # the most steps from init of any key generated
     depth_cap: int | None = None
-    # The classes of interchangeable constants the unbounded keys reduce
-    # by (empty when there are none); None in bounded modes.
-    symmetry: tuple[tuple[str, ...], ...] | None = None
+    # The classes of interchangeable constants the keys reduce by (empty
+    # when there are none).
+    symmetry: tuple[tuple[str, ...], ...] = ()
 
 
 @dataclass
@@ -190,13 +192,14 @@ class _Clock:
         return (_time.monotonic() - self.start) * 1000.0
 
 
-def _unbounded_key(
+def _quotient_key(
     classes: tuple[tuple[str, ...], ...], dmax: int
 ) -> Callable[[Configuration], Hashable]:
-    """The visited-set key of the unbounded searches: the normal member
-    of the quotient class, or its orbit key when constants are
-    interchangeable. Orbits keep distances and cycles (see
-    ``symmetric_classes``), so the verdicts are those of the plain key."""
+    """The visited-set key of the unbounded searches, and the quotient part
+    of the bounded ones: the normal member of the quotient class, or its
+    orbit key when constants are interchangeable. Orbits keep distances
+    and cycles (see ``symmetric_classes``), so the verdicts are those of
+    the plain key."""
     if not classes:
         return lambda c: abstract(c, dmax)
     orbit_key = make_orbit_key(classes)
@@ -206,10 +209,9 @@ def _unbounded_key(
 @dataclass
 class _Search:
     """What the searches of one verdict share. ``key`` maps a configuration
-    to its visited-set key: ``_unbounded_key``'s function when unbounded
-    (``n`` is None), the configuration itself under a tick budget. Only
-    clock advances move the ``Time`` fact, so a configuration fixes its
-    tick count."""
+    to its visited-set key: ``_quotient_key``'s function, paired under a
+    tick budget ``n`` with the stamp of the ``Time`` fact, which only
+    clock advances move."""
 
     sys: System
     init: Configuration
@@ -296,12 +298,13 @@ def _new_search(
         sys.signature.predicate_count,
         sys.signature.symbol_count,
     )
-    stats = SearchStats(l_sigma_decimal=str(l_sigma), depth_cap=cap)
-    if n is None:
-        stats.symmetry = symmetric_classes(sys, cs)
-        key = _unbounded_key(stats.symmetry, dmax)
-    else:
-        key = lambda config: config
+    stats = SearchStats(
+        l_sigma_decimal=str(l_sigma), depth_cap=cap, symmetry=symmetric_classes(sys, cs)
+    )
+    key = _quotient_key(stats.symmetry, dmax)
+    if n is not None:
+        quotient = key
+        key = lambda config: (quotient(config), config.time)
     return _Search(sys, init, cs, n, key, cap, clock, stats)
 
 
@@ -363,7 +366,7 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
     # never pushed); the entry is on the stack iff it is still at its index.
     stack = [(None, None, init, 0, 0, iter(lazy_successors(sys, init)), 0)]
     seen = {key_of(init): stack[0]}
-    peak = 0
+    peak = deepest = 0
     outcome, witness = FAILS, None
     while stack:
         spent = s.clock.exhausted(len(seen))
@@ -372,7 +375,6 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
             break
         if len(stack) > peak:
             peak = len(stack)
-            _check_depth(peak - 1, s.cap)
         top = stack[-1]
         step = next(top[5], None)
         if step is None:
@@ -389,14 +391,16 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
             # Cycle closed: stem up to the entry of the key, cycle from there.
             at = entry[6]
             cycle = _steps(stack[at + 1 :] + [step])
-            # A bounded key is the configuration, clock fact included, so
-            # any repeat there lands here.
+            # A bounded key holds the clock, so any repeat there lands here.
             if not any(st.label == TICK_LABEL for st in cycle):
                 _violate("instantaneous_run", "witness cycle contains no clock advance")
             stem = Trace(init, _steps(stack[1 : at + 1]))
             outcome, witness = HOLDS, Lasso(stem, Trace(entry[2], cycle))
             break
         seen[key] = False
+        if len(stack) > deepest:  # the child's depth
+            deepest = len(stack)
+            _check_depth(deepest, s.cap)
         if is_critical(cs, child) is not None:
             continue
         run = _check_run(top[4], label, m)
@@ -410,7 +414,7 @@ def _compliant_run(s: _Search) -> tuple[str, Trace | Lasso | str | None]:
     stats = s.stats
     stats.states += len(seen)
     stats.peak_frontier = max(stats.peak_frontier, peak, len(stack))
-    stats.max_depth = max(stats.max_depth, peak - 1)
+    stats.max_depth = max(stats.max_depth, deepest)
     return outcome, witness
 
 
@@ -434,12 +438,11 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
     goal = None  # the key of the first node with n clock advances
     # Node: (key, config, ticks, run)
     layer = [(init_key, init, 0, 0)]
-    depth = 0
+    depth = deepest = 0  # of the children of the layer; of the deepest key
     try:
         while layer:
             stats.peak_frontier = max(stats.peak_frontier, len(layer))
             depth += 1
-            _check_depth(depth, s.cap)
             next_layer = []
             for key, config, ticks, run in layer:
                 if ticks == n:
@@ -451,6 +454,9 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
                     if child_key in parents:
                         continue
                     parents[child_key] = (key, label, subst, child)
+                    if depth > deepest:
+                        deepest = depth
+                        _check_depth(deepest, s.cap)
                     hit = is_critical(cs, child)
                     if hit is not None:
                         return FAILS, _chain(parents, init, child_key), hit[0]
@@ -464,7 +470,7 @@ def _critical_reach(s: _Search) -> tuple[str, Trace | str | None, int | None]:
         return HOLDS, None if goal is None else _chain(parents, init, goal), None
     finally:
         stats.states += len(parents)
-        stats.max_depth = max(stats.max_depth, depth)
+        stats.max_depth = max(stats.max_depth, deepest)
 
 
 def _chain(parents, init, key) -> Trace:
@@ -577,7 +583,7 @@ def validate_lasso(
     dmax: int,
 ) -> ValidationResult:
     """Certify a realizability witness: stem and cycle replay compliantly,
-    the cycle endpoints have equal unbounded keys and the cycle advances
+    the cycle endpoints have equal quotient keys and the cycle advances
     the clock. The symmetry classes of the key are found again from the
     spec, so a report cannot choose them."""
     got = validate_trace(sys, cs, lasso.stem)
@@ -590,7 +596,7 @@ def validate_lasso(
         return got
     if not lasso.cycle.steps:
         return ValidationResult(False, None, "empty cycle")
-    key = _unbounded_key(symmetric_classes(sys, cs), dmax)
+    key = _quotient_key(symmetric_classes(sys, cs), dmax)
     if key(lasso.cycle.init) != key(lasso.cycle.final):
         return ValidationResult(False, None, "cycle endpoints are not equivalent")
     if not any(s.label == TICK_LABEL for s in lasso.cycle.steps):

@@ -62,19 +62,27 @@ def test_tracer_installs_on_every_name_and_restores_it():
         assert getattr(mod, attr) is original, f"{mod.__name__}.{attr}"
 
 
-def test_unbounded_search_records_the_key_layer():
-    """The unbounded searches key their visited sets through
-    ``tmsr.search.abstract``, so the tracer's ``delta.abstract`` layer
-    sees every key."""
+def test_every_search_records_the_key_layer():
+    """Every search keys its visited set through ``tmsr.search.abstract``,
+    so the tracer's ``delta.abstract`` layer sees the keys of all four
+    modes."""
     spec = parse_spec("tmsr-spec 1\ninit: Time@0\nparams: k=1\n")
     m = tmsr_namespace()
-    tracer = load_tracing().Tracer()
-    tracer.install(m)
-    try:
-        m.search.survivability(spec.system, spec.init, spec.critical)
-    finally:
-        tracer.uninstall()
-    assert any(span[0] == "delta.abstract" for span in tracer.spans)
+    args = (spec.system, spec.init, spec.critical)
+    runs = {
+        "realizability": lambda: m.search.realizability(*args),
+        "survivability": lambda: m.search.survivability(*args),
+        "bounded-realizability": lambda: m.search.bounded_realizability(*args, 2),
+        "bounded-survivability": lambda: m.search.bounded_survivability(*args, 2),
+    }
+    for mode, run in runs.items():
+        tracer = load_tracing().Tracer()
+        tracer.install(m)
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        assert any(span[0] == "delta.abstract" for span in tracer.spans), mode
 
 
 def test_drone_workloads_generate_their_specs():

@@ -168,16 +168,14 @@ class TestVerify:
             "error: rule 'grow' created N(2) of size 4, exceeding the bound 3\n"
         )
 
-    def test_statistics_name_the_symmetry_of_unbounded_modes(self, tmp_path):
+    def test_statistics_name_the_symmetry_of_every_mode(self, tmp_path):
         spec = tmp_path / "t.spec"
         spec.write_text(turn_taking_spec())
-        stats = {}
-        for ticks in ([], ["--ticks", "2"]):
-            out = tmp_path / "rep.json"
-            assert main(["verify", str(spec), "--mode", "realizability", *ticks, "--out", str(out)]) == 0
-            stats[bool(ticks)] = json.loads(out.read_text())["statistics"]
-        assert stats[False]["symmetry"] == [["a", "b"]]
-        assert "symmetry" not in stats[True]
+        out = tmp_path / "rep.json"
+        for mode in ("realizability", "survivability"):
+            for ticks in ([], ["--ticks", "2"]):
+                assert main(["verify", str(spec), "--mode", mode, *ticks, "--out", str(out)]) == 0
+                assert json.loads(out.read_text())["statistics"]["symmetry"] == [["a", "b"]]
         spec.write_text(TICK_ONLY)
         main(["verify", str(spec), "--mode", "survivability", "--out", str(out)])
         assert json.loads(out.read_text())["statistics"]["symmetry"] == []

@@ -10,6 +10,7 @@ from support import (
     SMALL_TM,
     all_small_cnfs,
     bounded_graph,
+    normalize,
     oracle_verdicts,
     random_progressive_system,
     symmetry_off,
@@ -170,27 +171,40 @@ def untimed(stats):
 
 
 def assert_bounded_survivability_oracle(sysm, init, cs, n) -> bool:
-    """The bounded-survivability verdict against the reference graph of
-    ``bounded_graph``: it holds iff no critical node is reachable. A
-    counterexample is a shortest path to a critical node. A witness replays
-    with n ticks and is a shortest path to a node at the n-th advance, and
-    the statistics count the graph's nodes and its widest breadth-first
-    layer. True if the verdict holds."""
-    v = bounded_survivability(sysm, init, cs, n)
+    """The unreduced bounded-survivability verdict against the reference
+    graph of ``bounded_graph``: it holds iff no critical node is reachable.
+    A counterexample is a shortest path to a critical node. A witness
+    replays with n ticks and is a shortest path to a node at the n-th
+    advance. The statistics count the search's keys, the distinct
+    (normal member, clock stamp) pairs of the graph's nodes, and the
+    widest layer of those keys by shortest distance. With symmetry on,
+    the verdict has the same outcome and artifact length in no more
+    states, and its artifact replays. True if the verdict holds."""
+    with symmetry_off():
+        v = bounded_survivability(sysm, init, cs, n)
+    reduced = bounded_survivability(sysm, init, cs, n)
+    assert reduced.outcome == v.outcome and reduced.stats.states <= v.stats.states
     graph, critical, last = bounded_graph(sysm, init, cs, n)
     distance = nx.single_source_shortest_path_length(graph, init)
     if critical:
         assert v.outcome == FAILS
-        assert validate_trace(
-            sysm, cs, v.counterexample, expected_ticks=n, expect_critical_end=True
-        )
-        assert len(v.counterexample.steps) == min(distance[c] for c in critical)
+        for u in (v, reduced):
+            assert validate_trace(
+                sysm, cs, u.counterexample, expected_ticks=n, expect_critical_end=True
+            )
+            assert len(u.counterexample.steps) == min(distance[c] for c in critical)
         return False
     assert v.outcome == HOLDS
-    assert validate_trace(sysm, cs, v.witness, expected_ticks=n)
-    assert len(v.witness.steps) == min(distance[c] for c in last)
-    assert v.stats.states == graph.number_of_nodes()
-    assert v.stats.peak_frontier == max(Counter(distance.values()).values())
+    for u in (v, reduced):
+        assert validate_trace(sysm, cs, u.witness, expected_ticks=n)
+        assert len(u.witness.steps) == min(distance[c] for c in last)
+    dmax = compute_dmax(sysm, init, cs)
+    layer_of = {}  # key -> the shortest distance of a node with that key
+    for node, d in distance.items():
+        key = (normalize(node, dmax), node.time)
+        layer_of[key] = min(d, layer_of.get(key, d))
+    assert v.stats.states == len(layer_of)
+    assert v.stats.peak_frontier == max(Counter(layer_of.values()).values())
     return True
 
 
@@ -239,10 +253,15 @@ class TestBoundedSurvivabilityWitness:
             assert assert_bounded_survivability_oracle(spec.system, spec.init, spec.critical, n)
 
     def test_greedy_rungs_count_one_search(self):
+        # The drone swap merges the layers of two configurations, and both
+        # searches read the 108-step witness's length as their depth.
         spec = gen_drone(DroneParams(drones=2, recency=9))
-        v = bounded_survivability(spec.system, spec.init, spec.critical, 36)
-        got = (v.stats.states, v.stats.peak_frontier, v.stats.max_depth, len(v.witness.steps))
-        assert (v.outcome, got) == (HOLDS, (145, 2, 109, 108))
+        args = (spec.system, spec.init, spec.critical, 36)
+        for decide in (bounded_survivability, bounded_realizability):
+            v = decide(*args)
+            got = (v.stats.states, v.stats.max_depth, len(v.witness.steps))
+            assert (v.outcome, got) == (HOLDS, (109, 108, 108))
+        assert bounded_survivability(*args).stats.peak_frontier == 1
 
     def test_state_budgets_across_the_witness_length(self):
         # Greedy d1 r6 at 24 ticks holds in 49 states, all but the initial
@@ -544,13 +563,21 @@ BASELINE_RUNGS = {
 }
 
 
-def assert_reduction_agrees(sysm, init, cs):
-    """Reduced and unreduced runs of both unbounded modes give the same
-    outcome and counterexample length, the reduced one in no more states,
-    and every artifact of both replays. Returns whether the spec has
-    interchangeable constants."""
+def assert_reduction_agrees(sysm, init, cs, ticks=None):
+    """Reduced and unreduced runs of both unbounded modes, or of both
+    bounded ones under a budget of ``ticks``, give the same outcome and
+    counterexample length, the reduced one in no more states, and every
+    artifact of both replays. A bounded witness keeps its length too.
+    Returns whether the spec has interchangeable constants."""
     dmax = compute_dmax(sysm, init, cs)
-    for decide in (realizability, survivability):
+    if ticks is None:
+        decides = (realizability, survivability)
+    else:
+        decides = (
+            lambda *args: bounded_realizability(*args, ticks),
+            lambda *args: bounded_survivability(*args, ticks),
+        )
+    for decide in decides:
         reduced = decide(sysm, init, cs)
         with symmetry_off():
             full = decide(sysm, init, cs)
@@ -560,14 +587,19 @@ def assert_reduction_agrees(sysm, init, cs):
         for v in (reduced, full):
             if v.counterexample is not None:
                 assert len(v.counterexample.steps) == len(full.counterexample.steps)
-                assert validate_trace(sysm, cs, v.counterexample, expect_critical_end=True)
-            if v.witness is not None:
+                assert validate_trace(
+                    sysm, cs, v.counterexample, expected_ticks=ticks, expect_critical_end=True
+                )
+            if v.witness is not None and ticks is None:
                 assert validate_lasso(sysm, cs, v.witness, dmax)
+            elif v.witness is not None:
+                assert len(v.witness.steps) == len(full.witness.steps)
+                assert validate_trace(sysm, cs, v.witness, expected_ticks=ticks)
     return bool(reduced.stats.symmetry)
 
 
 class TestSymmetryReduction:
-    """Keying the unbounded searches on orbits of interchangeable
+    """Keying the searches of every mode on orbits of interchangeable
     constants changes state counts only."""
 
     @pytest.mark.parametrize("params", BASELINE_RUNGS.values(), ids=BASELINE_RUNGS.keys())
@@ -576,11 +608,27 @@ class TestSymmetryReduction:
         reduced = assert_reduction_agrees(spec.system, spec.init, spec.critical)
         assert reduced == (params.drones > 1)
 
+    @pytest.mark.parametrize("params", BASELINE_RUNGS.values(), ids=BASELINE_RUNGS.keys())
+    def test_baseline_rungs_bounded(self, params):
+        spec = gen_drone(params)
+        for ticks in (1, 4):
+            reduced = assert_reduction_agrees(spec.system, spec.init, spec.critical, ticks)
+            assert reduced == (params.drones > 1)
+
     @pytest.mark.parametrize("seed, count", [(300, 300), (0xB151, 200)], ids=["random", "criterion-4"])
     def test_random_progressive_systems(self, seed, count):
         rng = random.Random(seed)
         reduced = sum(
             assert_reduction_agrees(*random_progressive_system(rng)) for _ in range(count)
+        )
+        assert reduced >= 5
+
+    @pytest.mark.parametrize("seed, count", [(301, 300), (0xB152, 200)], ids=["random", "criterion-4"])
+    def test_random_progressive_systems_bounded(self, seed, count):
+        rng = random.Random(seed)
+        reduced = sum(
+            assert_reduction_agrees(*random_progressive_system(rng), rng.randint(1, 4))
+            for _ in range(count)
         )
         assert reduced >= 5
 
