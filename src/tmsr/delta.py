@@ -38,6 +38,8 @@ def abstract(c: Configuration, dmax: int) -> Configuration:
         raise ValueError("truncation bound must be at least 1")
     seq = c.facts
     prev = seq[0].ts
+    if prev == 0 and seq[-1].ts <= dmax:
+        return c  # no gap can exceed dmax
     ts = 0
     out = []
     for tf in seq:

@@ -253,7 +253,7 @@ class TestBoundedSurvivabilityWitness:
             assert assert_bounded_survivability_oracle(spec.system, spec.init, spec.critical, n)
 
     def test_greedy_rungs_count_one_search(self):
-        # The drone swap merges the layers of two configurations, and both
+        # Keyed up to the drone swap, every layer holds one key, and both
         # searches read the 108-step witness's length as their depth.
         spec = gen_drone(DroneParams(drones=2, recency=9))
         args = (spec.system, spec.init, spec.critical, 36)
@@ -623,12 +623,12 @@ class TestSymmetryReduction:
         )
         assert reduced >= 5
 
-    @pytest.mark.parametrize("seed, count", [(301, 300), (0xB152, 200)], ids=["random", "criterion-4"])
+    @pytest.mark.parametrize("seed, count", [(300, 300), (0xB151, 200)], ids=["random", "criterion-4"])
     def test_random_progressive_systems_bounded(self, seed, count):
         rng = random.Random(seed)
         reduced = sum(
-            assert_reduction_agrees(*random_progressive_system(rng), rng.randint(1, 4))
-            for _ in range(count)
+            assert_reduction_agrees(*random_progressive_system(rng), 1 + i % 4)
+            for i in range(count)
         )
         assert reduced >= 5
 
