@@ -135,7 +135,7 @@ def symmetric_classes(sys: System, cs: CriticalSpec) -> tuple[tuple[str, ...], .
     intern = ids.setdefault
     items: dict[tuple[int, ...], int] = {}
 
-    def number(shape: tuple, patterns, created=()) -> int:
+    def number(shape: tuple, patterns: tuple, created: tuple = ()) -> int:
         shape += tuple([p.tvar for p in patterns] + [cf.offset for cf in created])
         facts = [p.fact for p in patterns] + [cf.fact for cf in created]
         got = tuple([intern(shape, len(ids))] + [intern(f, len(ids)) for f in facts])

@@ -38,25 +38,23 @@ from tmsr.scenarios import Cnf3, DroneParams, gen_3sat, gen_drone, gen_tm
 
 def assert_mode_relations(sysm, init, cs, extra=()):
     """Check every relation above at n in {1, 2, 3, K, K+1} and ``extra``.
-    Returns the unbounded outcomes and the bounded ones per n."""
+    Returns the unbounded outcomes and the bounded verdicts per n."""
     real = realizability(sysm, init, cs)
     surv = survivability(sysm, init, cs)
     k = real.stats.states
     budgets = sorted({1, 2, 3, k, k + 1, *extra})
     bounded = {
-        n: (
-            bounded_realizability(sysm, init, cs, n).outcome,
-            bounded_survivability(sysm, init, cs, n).outcome,
-        )
+        n: (bounded_realizability(sysm, init, cs, n), bounded_survivability(sysm, init, cs, n))
         for n in budgets
     }
+    outcomes = {n: (breal.outcome, bsurv.outcome) for n, (breal, bsurv) in bounded.items()}
     assert {real.outcome, surv.outcome} <= {HOLDS, FAILS}
     ticks, last_ticks = None, False
     if surv.counterexample is not None:
         steps = surv.counterexample.steps
         ticks = sum(st.label == TICK_LABEL for st in steps)
         last_ticks = bool(steps) and steps[-1].label == TICK_LABEL
-    for n, (breal, bsurv) in bounded.items():
+    for n, (breal, bsurv) in outcomes.items():
         assert {breal, bsurv} <= {HOLDS, FAILS}, n
         if real.outcome == HOLDS:
             assert breal == HOLDS, n
@@ -70,8 +68,8 @@ def assert_mode_relations(sysm, init, cs, extra=()):
             assert breal == HOLDS, n
     for low in budgets:
         for high in budgets:
-            if low < high and bounded[high][0] == HOLDS:
-                assert bounded[low][0] == HOLDS, (low, high)
+            if low < high and outcomes[high][0] == HOLDS:
+                assert outcomes[low][0] == HOLDS, (low, high)
     return real.outcome, surv.outcome, bounded
 
 
@@ -109,9 +107,8 @@ def test_three_by_three_crossover():
     )
     real, surv, bounded = assert_mode_relations(spec.system, spec.init, spec.critical, (12, 13))
     assert (real, surv) == (FAILS, FAILS)
-    assert [n for n, (breal, _) in bounded.items() if breal == HOLDS] == [1, 2, 3, 12]
-    args = (spec.system, spec.init, spec.critical)
-    held, failed = bounded_realizability(*args, 12), bounded_realizability(*args, 13)
+    assert [n for n, (breal, _) in bounded.items() if breal.outcome == HOLDS] == [1, 2, 3, 12]
+    held, failed = bounded[12][0], bounded[13][0]
     assert (held.outcome, held.stats.states) == (HOLDS, 970)
     assert (failed.outcome, failed.stats.states) == (FAILS, 1478)
 
@@ -124,7 +121,7 @@ def test_sat_systems():
         _, _, bounded = assert_mode_relations(
             spec.system, spec.init, spec.critical, (len(clauses),)
         )
-        seen.add(bounded[len(clauses)][0])
+        seen.add(bounded[len(clauses)][0].outcome)
     assert seen == {HOLDS, FAILS}
 
 
