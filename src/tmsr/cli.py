@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 
-from .delta import count_bound, symmetric_classes
+from .delta import l_sigma_decimal, symmetric_classes
 from .reports import (
     TOOL_VERSION,
     ReportError,
@@ -135,18 +135,7 @@ def _cmd_check(args) -> int:
         f"alphabet: {sys_.signature.predicate_count} predicates, "
         f"{sys_.signature.symbol_count} constant/function symbols"
     )
-    print(
-        "delta configurations at most: "
-        + str(
-            count_bound(
-                len(spec.init),
-                sys_.max_fact_size,
-                dmax,
-                sys_.signature.predicate_count,
-                sys_.signature.symbol_count,
-            )
-        )
-    )
+    print(f"delta configurations at most: {l_sigma_decimal(sys_, spec.init, dmax)}")
     return EXIT_HOLDS if progressive_ok else EXIT_FAILS
 
 
@@ -209,7 +198,7 @@ def _pairs(option: str, text: str) -> tuple[tuple[int, int], ...]:
 def _load_machine(path: str) -> TmSpec:
     try:
         m = json.loads(_read(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TmsrError(f"{path}: not JSON: {exc}") from None
     if not isinstance(m, dict):
         raise TmsrError(f"{path}: a machine description is a JSON object")

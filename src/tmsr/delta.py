@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Hashable
+from decimal import Decimal
 
 from .rules import CriticalSpec, System
 from .terms import NAT, App, Configuration, Const, Fact, Term, TimestampedFact, Var
@@ -67,6 +68,15 @@ def count_bound(
     if min(m, k, dmax, j, e) < 1:
         raise ValueError("all counting-bound arguments must be at least 1")
     return (dmax + 2) ** (m - 1) * j**m * (e + 2 * m * k) ** (m * k)
+
+
+def l_sigma_decimal(sys: System, init: Configuration, dmax: int) -> str:
+    """``count_bound`` for sys from init, as exact decimal text. ``str``
+    refuses an int of more than ``sys.get_int_max_str_digits()`` digits;
+    ``Decimal`` writes any number of them."""
+    sig = sys.signature
+    bound = count_bound(len(init), sys.max_fact_size, dmax, sig.predicate_count, sig.symbol_count)
+    return str(Decimal(bound))
 
 
 # ---------------------------------------------------------------------------

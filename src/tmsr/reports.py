@@ -9,6 +9,10 @@ present for bounded witnesses and for counterexamples), lasso (stem and
 cycle step arrays, present for unbounded holds), optional critical_pair
 and note, version and input digest. Configurations always serialize in
 canonical order. All fields other than elapsed_ms are deterministic.
+
+A report is written as ``json.dumps`` writes the document: one line,
+with ASCII escapes. ``python -m json.tool report.json`` prints it
+indented; replay reads either form.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 from .search import (
     BOUNDED_REALIZABILITY,
@@ -143,52 +146,8 @@ def report_json(report: VerdictReport) -> dict:
 
 
 def emit_report(report: VerdictReport) -> str:
-    """``report_json``'s document as ``json.dumps(..., indent=2)`` writes
-    it, and a newline. With an indent, json formats in pure Python; the
-    writer below gives the same bytes for the types a report holds in
-    about half the time."""
-    out: list[str] = []
-    _write(report_json(report), "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(value, newline: str, out: list[str]) -> None:
-    """Append ``value`` in json's indented form; ``newline`` is the line
-    break and indent its items follow."""
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif value is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(value))  # a float or a boolean
+    """``report_json``'s document on one line, and a newline."""
+    return json.dumps(report_json(report)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +289,8 @@ _OUTCOMES = (HOLDS, FAILS, UNKNOWN)
 def parse_report(text: str, spec: SpecFile) -> ParsedReport:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # A syntax error, an integer too long to read, or nesting too deep.
         raise ReportError(f"not valid JSON: {exc}") from None
     _require(obj, dict, "a report")
     mode = _field(obj, "mode", str, "the report")

@@ -400,7 +400,6 @@ class System:
     signature: Signature
     rules: tuple[Rule, ...]
     max_fact_size: int
-    dmax_override: int | None = None
 
     def __post_init__(self) -> None:
         # Each distinct fact is checked once, at its first occurrence, which
@@ -454,11 +453,20 @@ def make_system(
     rules: Sequence[Rule],
     max_fact_size: int | None = None,
     init: Configuration | None = None,
-    dmax_override: int | None = None,
 ) -> System:
+    """A system whose fact-size bound is ``max_fact_size``, which every
+    initial fact must fit, or, when None, the largest size of a rule
+    pattern or an initial fact."""
     if max_fact_size is None:
         max_fact_size = default_fact_size_bound(rules, init)
-    return System(signature, tuple(rules), max_fact_size, dmax_override)
+    elif init is not None:
+        for tf in init:
+            if fact_size(tf.fact) > max_fact_size:
+                raise RuleError(
+                    f"initial fact {fact_text(tf.fact)} exceeds "
+                    f"the declared fact-size bound {max_fact_size}"
+                )
+    return System(signature, tuple(rules), max_fact_size)
 
 
 # ---------------------------------------------------------------------------
@@ -985,12 +993,4 @@ def compute_dmax(
         best = max(best, r.sides.max_offset)
         for g in r.guard:
             best = max(best, abs(g.offset))
-    best = max(best, cs.max_offset())
-    if sys.dmax_override is not None:
-        if sys.dmax_override < best:
-            raise RuleError(
-                f"declared truncation bound {sys.dmax_override} is below the "
-                f"inferred bound {best}"
-            )
-        best = sys.dmax_override
-    return best
+    return max(best, cs.max_offset())

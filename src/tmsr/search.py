@@ -40,7 +40,7 @@ import time as _time
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .delta import abstract, count_bound, make_orbit_key, symmetric_classes
+from .delta import abstract, l_sigma_decimal, make_orbit_key, symmetric_classes
 from .rules import (
     CriticalSpec,
     Rule,
@@ -291,15 +291,10 @@ def _new_search(
     clock = _Clock(budget or SearchBudget())
     dmax = compute_dmax(sys, init, cs)
     cap = None if n is None else (n + 2) * len(init) + n
-    l_sigma = count_bound(
-        len(init),
-        sys.max_fact_size,
-        dmax,
-        sys.signature.predicate_count,
-        sys.signature.symbol_count,
-    )
     stats = SearchStats(
-        l_sigma_decimal=str(l_sigma), depth_cap=cap, symmetry=symmetric_classes(sys, cs)
+        l_sigma_decimal=l_sigma_decimal(sys, init, dmax),
+        depth_cap=cap,
+        symmetry=symmetric_classes(sys, cs),
     )
     key = _quotient_key(stats.symmetry, dmax)
     if n is not None:

@@ -71,13 +71,16 @@ from .terms import (
     TimestampedFact,
     TmsrError,
     Var,
-    check_fact,
     fact_text,
     make_signature,
     normalize_term,
 )
 
 HEADER = "tmsr-spec 1"
+
+# The most applications a term may nest: deeper terms would exhaust the
+# recursion of the parser and of every function that walks a term.
+MAX_TERM_DEPTH = 100
 
 RESERVED_SORTS = {NAT}
 RESERVED_PREDS = {TIME}
@@ -198,6 +201,14 @@ class _Cursor:
     def end(self, i: int) -> None:
         if i < self.n:
             raise self.error("syntax", f"trailing input {self.toks[i]!r}", i)
+
+    def num(self, i: int) -> int:
+        """Token ``i``, which must be a numeral, as an int."""
+        tok = self.expect(i, "num")
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() reads
+            raise self.error("syntax", f"numeral of {len(tok)} digits is too long", i) from None
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +394,10 @@ class SpecParser:
         i = 2
         while i < cur.n:
             key = cur.expect(i, "ident")
-            if key not in ("k", "dmax", "ticks"):
+            if key not in ("k", "ticks"):
                 raise cur.error("params", f"unknown parameter {key!r}", i)
             cur.expect(i + 1, "=")
-            self.params[key] = int(cur.expect(i + 2, "num"))
+            self.params[key] = cur.num(i + 2)
             i += 3
             if i < cur.n:
                 cur.expect(i, ",")
@@ -405,14 +416,15 @@ class SpecParser:
         return self.sig
 
     def _parse_term(
-        self, cur: _Cursor, i: int, expected: str, vars_seen: dict[str, str]
+        self, cur: _Cursor, i: int, expected: str, vars_seen: dict[str, str], depth: int = 0
     ) -> tuple[Term, int]:
+        """A term from token ``i`` on; ``depth`` applications enclose it."""
         toks = cur.toks
         name = toks[i]
         if name.isdecimal():
             if expected != NAT:
                 raise cur.error("sort", f"numeral where a {expected!r} term is expected", i)
-            return int(name), i + 1
+            return cur.num(i), i + 1
         if name[0] not in _IDENT_START:
             raise cur.expected(i, "a term")
         if toks[i + 1] == "(":
@@ -423,6 +435,8 @@ class SpecParser:
                 raise cur.error(
                     "sort", f"function {name!r} yields {result!r}, expected {expected!r}", i
                 )
+            if depth == MAX_TERM_DEPTH:
+                raise cur.error("syntax", f"term nested more than {MAX_TERM_DEPTH} deep", i)
             j = i + 2
             args = []
             for k, asort in enumerate(argsorts):
@@ -430,7 +444,7 @@ class SpecParser:
                     if toks[j] != ",":
                         raise cur.expected(j, repr(","))
                     j += 1
-                arg, j = self._parse_term(cur, j, asort, vars_seen)
+                arg, j = self._parse_term(cur, j, asort, vars_seen, depth + 1)
                 args.append(arg)
             if toks[j] != ")":
                 raise cur.expected(j, repr(")"))
@@ -549,8 +563,7 @@ class SpecParser:
         offset = 0
         sign = toks[i]
         if sign == "+" or sign == "-":
-            num = cur.expect(i + 1, "num")
-            offset = int(num) if sign == "+" else -int(num)
+            offset = cur.num(i + 1) if sign == "+" else -cur.num(i + 1)
             i += 2
         return TimeConstraint(rel, left, right, offset), i
 
@@ -594,7 +607,7 @@ class SpecParser:
                 tv = self._parse_tvar(cur, i + 2)
                 if toks[i + 3] != "+":
                     raise cur.expected(i + 3, repr("+"))
-                off = int(cur.expect(i + 4, "num"))
+                off = cur.num(i + 4)
                 if toks[i + 5] != ")":
                     raise cur.expected(i + 5, repr(")"))
                 i += 6
@@ -814,7 +827,7 @@ class SpecParser:
                     "syntax", f"initial facts must be ground, found variable {name!r}", line
                 )
             cur.expect(i, "@")
-            ts = int(cur.expect(i + 1, "num"))
+            ts = cur.num(i + 1)
             out.append(TimestampedFact(f, ts))
             i += 2
             if toks[i] != ",":
@@ -871,17 +884,11 @@ class SpecParser:
                 rules,
                 max_fact_size=self.params.get("k"),
                 init=init,
-                dmax_override=self.params.get("dmax"),
             )
         except (RuleError, SortError) as exc:
             raise SpecParseError(
                 "sort", str(exc), self.params_line or 1
             ) from None
-        for tf in init:
-            try:
-                check_fact(self.sig, tf.fact)
-            except SortError as exc:
-                raise SpecParseError("sort", str(exc), self.init_lines[0][0]) from None
         return SpecFile(system, init, critical, self.params.get("ticks"))
 
 
@@ -918,8 +925,6 @@ def print_spec(spec: SpecFile) -> str:
     for p in spec.critical.pairs:
         lines.append(p.text)
     params = [f"k={spec.system.max_fact_size}"]
-    if spec.system.dmax_override is not None:
-        params.append(f"dmax={spec.system.dmax_override}")
     if spec.ticks is not None:
         params.append(f"ticks={spec.ticks}")
     lines.append("params: " + ", ".join(params))

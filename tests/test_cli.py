@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -11,6 +12,7 @@ from support import turn_taking_spec
 
 import tmsr.cli
 from tmsr.cli import main
+from tmsr.delta import count_bound
 from tmsr.reports import input_digest, parse_report
 from tmsr.rules import TICK_LABEL
 from tmsr.specfile import SpecParseError, parse_spec
@@ -659,6 +661,98 @@ class TestMalformedInvocations:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+LONG = "7" * 5000
+DEEP = "s(" * 3000 + "z" + ")" * 3000
+NAT_SPEC = "tmsr-spec 1\npred P : Nat\ninit: Time@0, P(0)@0\n"
+
+# (file name, text, argv) of inputs that once ended in a traceback; the
+# argv names the spec as {spec} and the other file as {file}. The text
+# "deep" or "long" stands for a real report whose P fact holds DEEP or LONG.
+ADVERSARIAL = {
+    "long-numeral-argument": (
+        "a.spec", NAT_SPEC.replace("P(0)@0", f"P({LONG})@0"), ["check", "{file}"]
+    ),
+    "long-numeral-stamp": (
+        "a.spec", NAT_SPEC.replace("P(0)@0", f"P(0)@{LONG}"), ["check", "{file}"]
+    ),
+    "long-numeral-parameter": ("a.spec", NAT_SPEC + f"params: k={LONG}\n", ["check", "{file}"]),
+    "deep-term": ("a.spec", NAT_SPEC.replace("P(0)@0", f"P({DEEP})@0"), ["check", "{file}"]),
+    "report-long-integer": (
+        "r.json", '{"mode": "realizability", "outcome": "holds", "n": %s}' % LONG,
+        ["replay", "{spec}", "{file}"],
+    ),
+    "report-deep-nesting": (
+        "r.json", "[" * 100_000 + "]" * 100_000, ["replay", "{spec}", "{file}"]
+    ),
+    "report-deep-fact": ("r.json", "deep", ["replay", "{spec}", "{file}"]),
+    "report-long-numeral-fact": ("r.json", "long", ["replay", "{spec}", "{file}"]),
+    "machine-deep-nesting": (
+        "m.json",
+        "[" * 100_000 + "]" * 100_000,
+        ["gen", "tm", "--machine", "{file}", "--out", "{spec}.t"],
+    ),
+    "k-below-initial-fact": (
+        "a.spec",
+        "tmsr-spec 1\nsort Id\nconst a : Id\npred P : Id Nat Nat\n"
+        'rule "r": Time@T, P(a,1,1)@T1 -> Time@T, P(a,1,1)@(T+1)\n'
+        "init: Time@0, P(a,1,1)@0, P(a,7,7)@0\nparams: k=6\n",
+        ["check", "{file}"],
+    ),
+    "dmax-parameter": ("a.spec", NAT_SPEC + "params: k=2, dmax=7\n", ["check", "{file}"]),
+}
+
+
+def _adversarial_argv(name, tmp_path):
+    """Write the spec and the input ``name``; return its argv."""
+    file_name, text, argv = ADVERSARIAL[name]
+    spec = tmp_path / "nat.spec"
+    spec.write_text(NAT_SPEC)
+    if text in ("deep", "long"):
+        # A real report whose initial P fact holds the bad term.
+        rep = tmp_path / "real.json"
+        assert main(["verify", str(spec), "--mode", "realizability", "--out", str(rep)]) == 0
+        arg = DEEP if text == "deep" else LONG
+        text = rep.read_text().replace('"P(0)"', f'"P({arg})"')
+        assert arg in text
+    path = tmp_path / file_name
+    path.write_text(text)
+    return [a.format(spec=spec, file=path) for a in argv]
+
+
+class TestAdversarialInputs:
+    """Inputs too large or too deep for the readers end in one error line
+    and exit 3, never in a traceback."""
+
+    @pytest.mark.parametrize("name", list(ADVERSARIAL))
+    def test_exits_3_with_one_line(self, tmp_path, capsys, name):
+        argv = _adversarial_argv(name, tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(("input error: ", "error: ")) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["long-numeral-stamp", "report-deep-nesting"])
+    def test_no_traceback_in_a_fresh_process(self, tmp_path, name):
+        argv = _adversarial_argv(name, tmp_path)
+        code, _, err = _in_a_fresh_process(argv)
+        assert code == 3 and "Traceback" not in err and err.count("\n") == 1
+
+    def test_counting_bound_beyond_the_int_text_limit(self, tmp_path, capsys):
+        # 1,201 facts of size 1: the bound has more digits than str(int)
+        # writes.
+        path = tmp_path / "many.spec"
+        path.write_text("tmsr-spec 1\npred P\ninit: Time@0" + ", P@0" * 1200 + "\n")
+        want = Decimal(count_bound(1201, 1, 1, 2, 2))
+        assert want.adjusted() > 4300
+        assert main(["check", str(path)]) == 0
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("delta")]
+        assert Decimal(line.rpartition(": ")[2]) == want
+        for ticks in ([], ["--ticks", "3"]):
+            assert main(["verify", str(path), "--mode", "survivability", *ticks]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert Decimal(doc["statistics"]["l_sigma_decimal"]) == want
 
 
 def _in_a_fresh_process(argv):

@@ -138,9 +138,11 @@ def bench_items(seed):
 
 
 def assert_json_bytes(report):
-    """The report's text is json's indented form of ``report_json``."""
+    """The report's text is ``json.dumps`` of ``report_json``: one line,
+    then a newline."""
     text = emit_report(report)
-    assert text == json.dumps(report_json(report), indent=2) + "\n"
+    assert text == json.dumps(report_json(report)) + "\n"
+    assert text.count("\n") == 1
     return text
 
 
@@ -155,7 +157,7 @@ def odd_name_system():
 
 
 class TestWriter:
-    """``emit_report`` writes the bytes of ``json.dumps(..., indent=2)``."""
+    """``emit_report`` writes ``json.dumps`` of ``report_json`` on one line."""
 
     def test_seed_1_bench_items(self):
         for item, spec in bench_items(1):
@@ -184,17 +186,24 @@ class TestWriter:
 
     def test_escaped_name_empty_lists_null_subst_and_float(self):
         sysm, init = odd_name_system()
+        spec = spec_of(sysm, init, CriticalSpec())
         verdict = bounded_realizability(sysm, init, CriticalSpec(), 2)
         text = assert_json_bytes(VerdictReport(verdict, ticks=2))
         assert '"label": "\\u00e9\\u2192\\\\x"' in text
         assert '"subst": null' in text and '"terms": []' in text
-        assert type(report_json(VerdictReport(verdict))["statistics"]["elapsed_ms"]) is float
+        assert type(json.loads(text)["statistics"]["elapsed_ms"]) is float
+        parsed = parse_report(text, spec)
+        assert [s.label for s in parsed.trace.steps] == [s.label for s in verdict.witness.steps]
+        assert any(s.label == "\u00e9\u2192\\x" for s in parsed.trace.steps)
+        assert [s.subst for s in parsed.trace.steps] == [s.subst for s in verdict.witness.steps]
         # An empty trace (the initial configuration is critical) and an
         # empty symmetry list (unbounded, no interchangeable constants).
         cs = CriticalSpec((CriticalPair("a", (RulePattern(Fact("A"), "Ta"),), ()),))
         verdict = survivability(sysm, init, cs)
         text = assert_json_bytes(VerdictReport(verdict))
         assert '"trace": []' in text and '"symmetry": []' in text
+        parsed = parse_report(text, spec_of(sysm, init, cs))
+        assert parsed.trace.steps == () and parsed.trace.init == init
 
 
 class TestTickBudget:

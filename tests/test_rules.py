@@ -24,6 +24,7 @@ from tmsr import (
     Rule,
     RuleError,
     RulePattern,
+    SortError,
     Substitution,
     TimeConstraint,
     TimestampedFact,
@@ -632,14 +633,16 @@ class TestComputeDmax:
         init = Configuration((ts(Fact("Time"), 4), ts(Fact("F"), 0)))
         assert compute_dmax(sysm, init, CriticalSpec()) == 4
 
-    def test_override_must_dominate_inferred(self):
+    def test_bound_is_never_declared(self):
+        # The bound is always inferred: a larger one would only make the
+        # quotient finer, and no system takes one.
         sig = make_signature((), {"F": ()}, {}, {})
-        sysm = make_system(sig, [], dmax_override=2)
+        with pytest.raises(TypeError):
+            make_system(sig, [], dmax_override=9)
+        sysm = make_system(sig, [])
+        assert not hasattr(sysm, "dmax_override")
         init = Configuration((ts(Fact("Time"), 4),))
-        with pytest.raises(RuleError):
-            compute_dmax(sysm, init, CriticalSpec())
-        roomy = make_system(sig, [], dmax_override=9)
-        assert compute_dmax(roomy, init, CriticalSpec()) == 9
+        assert compute_dmax(sysm, init, CriticalSpec()) == 4
 
 
 class TestGuardExpansion:
@@ -687,6 +690,17 @@ class TestGuardExpansion:
                 [CreatedFact(Fact("B"), 1)],
                 [TimeConstraint(GREATER, "T", "Nope", 0)],
             )
+
+    def test_pattern_constant_of_the_wrong_sort_rejected(self):
+        sig = make_signature(("Id", "Zone"), {"Q": ("Id",)}, {}, {"a": "Id", "b": "Zone"})
+
+        def renew(const):
+            fact = Fact("Q", (Const(const),))
+            return expand_rule("r", "T", [], [RulePattern(fact, "T1")], [CreatedFact(fact, 1)], [])
+
+        make_system(sig, renew("a"))
+        with pytest.raises(SortError, match="^argument of 'Q' has sort 'Zone', expected 'Id'$"):
+            make_system(sig, renew("b"))
 
     def test_pattern_size_bound_enforced(self):
         sig = make_signature((), {"N": ("Nat",)}, {}, {})

@@ -195,17 +195,29 @@ class TestParse:
             s.label == "reach" for s in v.witness.steps
         ), "goal rule should fire after the successor pattern walks up"
 
-    def test_dmax_override_parses_and_applies(self):
-        from tmsr import compute_dmax
+    def test_declared_k_bounds_the_initial_facts(self):
+        text = (
+            "tmsr-spec 1\nsort Id\nconst a : Id\npred P : Id Nat Nat\n"
+            'rule "r": Time@T, P(a,1,1)@T1 -> Time@T, P(a,1,1)@(T+1)\n'
+            "init: Time@0, P(a,1,1)@0, P(a,7,7)@0\nparams: k=6\n"
+        )
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == (
+            "7:0: [sort] initial fact P(a,7,7) exceeds the declared fact-size bound 6"
+        )
+        spec = parse_spec(text.replace("params: k=6\n", ""))
+        assert spec.system.max_fact_size == 18
 
+    def test_dmax_parameter_is_unknown(self):
         text = (
             "tmsr-spec 1\npred P\n"
             "init: Time@0, P@0\nparams: k=3, dmax=7\n"
         )
-        spec = parse_spec(text)
-        assert spec.system.dmax_override == 7
-        assert compute_dmax(spec.system, spec.init, spec.critical) == 7
-        assert "dmax=7" in print_spec(spec)
+        with pytest.raises(SpecParseError) as err:
+            parse_spec(text)
+        assert str(err.value) == "4:14: [params] unknown parameter 'dmax'"
+        assert print_spec(parse_spec(text.replace(", dmax=7", ""))).endswith("params: k=3\n")
 
 
 # Malformed inputs and the diagnostic each one gets: code, line, column and
@@ -216,6 +228,8 @@ PRE = (
 )
 INIT = "init: Time@0, P(p1,0,1)@0\n"
 LATE_ERROR = "params: k=4, depth=3\n"
+LONG = "7" * 5000
+DEEP = "s(" * 3000 + "z" + ")" * 3000
 GOOD_RULE = (
     'rule "m": Time@T, P(p1,0,1)@T1 | T = T1 + 1 -> '
     "Time@T, P(p1,0,1)@T1, Dr(d1,0,1,1)@(T+1)"
@@ -296,6 +310,21 @@ MALFORMED_SPECS = {
     "form-feed-and-vertical-tab-in-line": PRE + INIT + "params:\fk=4,\vdepth=3\n",
     "crlf-line-ends": (PRE + INIT + LATE_ERROR).replace("\n", "\r\n"),
     "carriage-return-in-line": PRE + INIT + "params: k=4,\rdepth=3\n",
+    # Each numeral is read in one place, which refuses one of more digits
+    # than int() reads; so is every term nested too deep to walk.
+    "long-numeral-argument": PRE + f"init: Time@0, P(p1,{LONG},1)@0\n",
+    "long-numeral-stamp": PRE + f"init: Time@0, P(p1,0,1)@{LONG}\n",
+    "long-numeral-parameter": PRE + INIT + f"params: k={LONG}\n",
+    "long-numeral-guard": PRE
+    + f'rule "m": Time@T, P(p1,0,1)@T1 | T = T1 + {LONG} -> Time@T, P(p1,0,1)@T1\n'
+    + INIT,
+    "long-numeral-offset": PRE
+    + f'rule "m": Time@T, P(p1,0,1)@T1 -> Time@T, P(p1,0,1)@(T+{LONG})\n'
+    + INIT,
+    "deep-term": PRE + f"init: Time@0, P(p1,{DEEP},1)@0\n",
+    # A declared k bounds every rule pattern (and every initial fact, see
+    # test_declared_k_bounds_the_initial_facts).
+    "k-below-created-pattern": PRE + GOOD_RULE + "\n" + INIT + "params: k=6\n",
 }
 MALFORMED_FACTS = {
     "fact-not-ground": "P(X,0,1)",
@@ -305,11 +334,15 @@ MALFORMED_FACTS = {
     "nullary-unclosed": "Time(",
     "nullary-with-argument": "Time(1)",
     "nullary-parentheses-twice": "Time()(",
+    "fact-long-numeral": f"P(p1,0,{LONG})",
+    "fact-deep-term": f"P(p1,{DEEP},1)",
 }
 MALFORMED_TERMS = {
     "term-wrong-sort": ("p1", "Nat"),
     "term-empty": ("", "Nat"),
     "term-not-ground": ("s(X)", "Nat"),
+    "term-long-numeral": (LONG, "Nat"),
+    "term-deep": (DEEP, "Nat"),
 }
 DIAGNOSTICS = {
     "nullary-unclosed": ("syntax", 1, 5, "1:5: [syntax] unexpected end of line"),
@@ -408,6 +441,23 @@ DIAGNOSTICS = {
     "term-wrong-sort": ("sort", 1, 1, "1:1: [sort] constant 'p1' has sort 'Id', expected 'Nat'"),
     "term-empty": ("syntax", 1, 1, "1:1: [syntax] unexpected end of line"),
     "term-not-ground": ("syntax", 1, 0, "1:0: [syntax] term is not ground"),
+    "long-numeral-argument": ("syntax", 7, 20, "7:20: [syntax] numeral of 5000 digits is too long"),
+    "long-numeral-stamp": ("syntax", 7, 25, "7:25: [syntax] numeral of 5000 digits is too long"),
+    "long-numeral-parameter": ("syntax", 8, 11, "8:11: [syntax] numeral of 5000 digits is too long"),
+    "long-numeral-guard": ("syntax", 7, 43, "7:43: [syntax] numeral of 5000 digits is too long"),
+    "long-numeral-offset": ("syntax", 7, 56, "7:56: [syntax] numeral of 5000 digits is too long"),
+    "deep-term": ("syntax", 7, 220, "7:220: [syntax] term nested more than 100 deep"),
+    "k-below-created-pattern": (
+        "sort",
+        9,
+        0,
+        "9:0: [sort] rule 'm': created pattern Dr(d1,0,1,1) exceeds the declared "
+        "fact-size bound 6",
+    ),
+    "fact-long-numeral": ("syntax", 1, 8, "1:8: [syntax] numeral of 5000 digits is too long"),
+    "fact-deep-term": ("syntax", 1, 206, "1:206: [syntax] term nested more than 100 deep"),
+    "term-long-numeral": ("syntax", 1, 1, "1:1: [syntax] numeral of 5000 digits is too long"),
+    "term-deep": ("syntax", 1, 201, "1:201: [syntax] term nested more than 100 deep"),
 }
 
 
